@@ -13,10 +13,8 @@ from __future__ import annotations
 import csv
 import io
 import json
-import os
 import statistics
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -291,8 +289,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
     """One row per (solver, N); failed rows are flagged, not fatal.
 
     The per-N instance seed is mix(base seed, N), so adding N values never
-    reshuffles existing instances. ``NUMFLOW_THREADS`` caps row parallelism
-    (default: serial).
+    reshuffles existing instances. Rows run one after another, so each
+    row's timing is taken with no other solve running in the process.
     """
     net, default_rule = resolve_topology(cfg.topology)
     rule = cfg.endpoint_rule or default_rule
@@ -318,12 +316,7 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         except Exception:
             return ReportRow(solver, n, float("nan"), float("nan"), 0, 0.0, 0.0, False)
 
-    workers = int(os.environ.get("NUMFLOW_THREADS", "1"))
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(run, jobs))
-    else:
-        rows = [run(job) for job in jobs]
+    rows = [run(job) for job in jobs]
     rows.sort(key=lambda r: (r.solver, r.n))
     return Report(rows=tuple(rows), seed=cfg.seed)
 

@@ -2,10 +2,15 @@
 
 Three solvers share the aggregate-flow structure:
 
-* ``solve_admm``: consensus splitting with per-class closed-form flow
-  updates, a box projection for link loads, and a prefactored SPD solve
-  for the aggregate rates.
-* ``solve_cp``: primal-dual iteration with componentwise proximal maps.
+* ``solve_admm``: consensus splitting with a box projection for link
+  loads and a prefactored SPD solve for the aggregate rates. Every flow
+  update of a class is ``u_k = w_k t_i`` for one class scalar ``t_i``, so
+  an iteration works on N-vectors only; flow rates are built once, after
+  the loop.
+* ``solve_cp``: primal-dual iteration with componentwise proximal maps on
+  the flow-level problem. The flow-to-link operator is applied through
+  class sums (``np.add.reduceat``) and the routing matrix, never as a
+  dense link-by-flow matrix.
 * ``solve_gradproj``: projected gradient ascent on the N-variable
   aggregate problem, apportioned to flows at the end.
 
@@ -87,13 +92,26 @@ class Solution:
 
 
 class SpdFactor:
-    """Cholesky factorization of A = I + R^T R, reusable across iterations."""
+    """Solver for A x = b with A = I + R^T R, reusable across iterations.
+
+    A wide R (fewer rows than columns) factors the smaller Gram matrix
+    I + R R^T and solves by the Woodbury identity
+    x = b - R^T (I + R R^T)^{-1} R b; otherwise I + R^T R is factored.
+    Both Gram matrices have eigenvalues >= 1, so either form is well
+    conditioned.
+    """
 
     def __init__(self, R: np.ndarray):
-        A = np.eye(R.shape[1]) + R.T @ R
-        self._cho = scipy.linalg.cho_factor(A)
+        L, n = R.shape
+        self._wide = L < n
+        self._R = R
+        gram = R @ R.T if self._wide else R.T @ R
+        self._cho = scipy.linalg.cho_factor(np.eye(min(L, n)) + gram)
 
     def solve(self, b: np.ndarray) -> np.ndarray:
+        if self._wide:
+            R = self._R
+            return b - R.T @ scipy.linalg.cho_solve(self._cho, R @ b)
         return scipy.linalg.cho_solve(self._cho, b)
 
 
@@ -147,6 +165,15 @@ def admm_u_update(psi: float, r: float, w: np.ndarray) -> np.ndarray:
 def solve_admm(inst: Instance, params: SolverParams) -> Solution:
     """Consensus ADMM on the recast problem with weighted-log utilities.
 
+    Each iteration works on N-vectors. By the closed form of
+    ``admm_u_update``, class i's flows are u_k = w_k t_i with
+    t_i = 2 / (psi_i + sqrt(psi_i^2 + 4 r wbar_i)). The class sum is then
+    wbar_i t_i, and the class's share of the log objective is
+    sum_k w_k log w_k + wbar_i log t_i, whose first term is a constant.
+    The loop carries t and builds the flow rates once, after it stops.
+    One product R x per iteration serves the y-step, the rho-step and the
+    augmented Lagrangian.
+
     Stops when the augmented Lagrangian changes by less than ``params.pct``
     percent (relative change below pct/100) on three consecutive
     iterations, guarding against transient flat spots, or at ``max_iter``
@@ -157,38 +184,36 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
     n = len(ws)
     r = params.r
     wbar = np.asarray([w.sum() for w in ws])
+    w_log_w = float(sum(np.sum(w * np.log(w)) for w in ws))
     factor = spd_prefactor(inst.routing)
 
-    u = [np.ones_like(w) for w in ws]
-    s = np.asarray([ui.sum() for ui in u])
+    # start from u = 1 for every flow: class sums K_i, log objective 0
+    s = np.asarray([float(len(w)) for w in ws])
     x = s.copy()
-    y = R @ x
+    Rx = R @ x
+    y = Rx
     lam = np.zeros(n)
     rho = np.zeros(R.shape[0])
 
-    def lagrangian() -> float:
-        penalty = 0.5 * r * (np.dot(x - s, x - s) + np.dot(R @ x - y, R @ x - y))
-        return (
-            -_log_objective(ws, u)
-            + float(lam @ (s - x))
-            + float(rho @ (y - R @ x))
-            + penalty
-        )
+    def lagrangian(objective: float) -> float:
+        penalty = 0.5 * r * (np.dot(x - s, x - s) + np.dot(Rx - y, Rx - y))
+        return -objective + float(lam @ (s - x)) + float(rho @ (y - Rx)) + penalty
 
-    prev = lagrangian()
+    prev = lagrangian(0.0)
     threshold = params.pct / 100.0
     converged = False
     flat_streak = 0
     it = 0
     for it in range(1, params.max_iter + 1):
         psi = lam - r * x
-        u = [admm_u_update(psi[i], r, ws[i]) for i in range(n)]
-        s = np.asarray([ui.sum() for ui in u])
-        y = np.minimum(R @ x - rho / r, c)
+        t = 2.0 / (psi + np.sqrt(psi * psi + 4.0 * r * wbar))
+        s = wbar * t
+        y = np.minimum(Rx - rho / r, c)
         x = factor.solve(s + lam / r + R.T @ (y + rho / r))
+        Rx = R @ x
         lam = lam + r * (s - x)
-        rho = rho + r * (y - R @ x)
-        cur = lagrangian()
+        rho = rho + r * (y - Rx)
+        cur = lagrangian(w_log_w + float(wbar @ np.log(t)))
         if abs(cur - prev) < threshold * max(abs(prev), 1e-12):
             flat_streak += 1
             if flat_streak >= 3:
@@ -198,7 +223,7 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
             flat_streak = 0
         prev = cur
 
-    u = tuple(u)
+    u = tuple(ws[i] * t[i] for i in range(n))
     # The splitting multiplier converges to minus the capacity dual (the
     # y-stationarity of the recast problem pairs rho with -eta), so the
     # reported link duals are negated.
@@ -208,7 +233,7 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
         lam=lam,
         rho=-rho,
         objective=_log_objective(ws, u),
-        l_max=float(np.max(R @ x)),
+        l_max=float(np.max(Rx)),
         n_iter=it,
         wall_time=time.perf_counter() - t0,
         converged=converged,
@@ -348,17 +373,22 @@ def cp_prox_gstar(z: np.ndarray, sigma: float, c: np.ndarray) -> np.ndarray:
 def solve_cp(inst: Instance, params: SolverParams) -> Solution:
     """Primal-dual iteration on the flow-level problem with per-flow columns.
 
+    Flow k of class i loads the links of class i's route, so the
+    link-by-flow operator Q repeats each routing column K_i times. It is
+    never formed: Q v = R (class sums of v), taken with ``np.add.reduceat``,
+    and Q^T y = repeat(R^T y, K). The iterates stay flow-level vectors.
+
     The primal step is capped at 0.95 / (sigma * ||Q||^2) when the supplied
-    (sigma, tau) pair violates the step-product convergence bound.
+    (sigma, tau) pair violates the step-product convergence bound, where
+    ||Q||_2 = ||R diag(sqrt(K))||_2.
     """
     t0 = time.perf_counter()
     R, c, ws = _log_arrays(inst)
     wbar = np.asarray([w.sum() for w in ws])
-    sizes = [len(w) for w in ws]
+    sizes = np.asarray([len(w) for w in ws])
+    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
     w_flat = np.concatenate(ws)
-    # per-flow columns: class i's routing column repeated K_i times
-    Q = np.repeat(R, sizes, axis=1)
-    norm_sq = np.linalg.norm(Q, 2) ** 2
+    norm_sq = np.linalg.norm(R * np.sqrt(sizes), 2) ** 2
     tau = min(params.tau, 0.95 / (params.sigma * norm_sq))
 
     u = np.ones_like(w_flat)
@@ -366,19 +396,18 @@ def solve_cp(inst: Instance, params: SolverParams) -> Solution:
     y = np.zeros(R.shape[0])
     converged = False
     it = 0
-    bounds = np.cumsum([0] + sizes)
     for it in range(1, params.max_iter + 1):
-        y = cp_prox_gstar(y + params.sigma * (Q @ v), params.sigma, c)
-        u_new = cp_prox_f(u - tau * (Q.T @ y), tau, w_flat)
+        y = cp_prox_gstar(y + params.sigma * (R @ np.add.reduceat(v, starts)), params.sigma, c)
+        u_new = cp_prox_f(u - tau * np.repeat(R.T @ y, sizes), tau, w_flat)
         v = u_new + params.theta * (u_new - u)
         u = u_new
         if it % 10 == 0 or it == params.max_iter:
-            x = np.asarray([u[bounds[i]:bounds[i + 1]].sum() for i in range(len(ws))])
+            x = np.add.reduceat(u, starts)
             if _aggregate_kkt_residual(R, c, wbar, x, y) <= params.tol:
                 converged = True
                 break
-    x = np.asarray([u[bounds[i]:bounds[i + 1]].sum() for i in range(len(ws))])
-    u_cls = tuple(u[bounds[i]:bounds[i + 1]] for i in range(len(ws)))
+    x = np.add.reduceat(u, starts)
+    u_cls = tuple(np.split(u, starts[1:]))
     return Solution(
         x=x,
         u=u_cls,

@@ -35,6 +35,29 @@ def _conjugate_oracle(f: PwlConcave, y: float, hi: float = 50.0, steps: int = 20
     return float(np.min(xs * y - np.asarray([pwl_eval(f, x) for x in xs])))
 
 
+def _pwl_eval_grid(f: PwlConcave, xs: np.ndarray) -> np.ndarray:
+    """Vectorised pwl_eval: linear between breakpoints, constant beyond the
+    last one, -inf for negative arguments."""
+    values = [pwl_eval(f, b) for b in f.breakpoints]
+    return np.where(xs < 0, -np.inf, np.interp(xs, f.breakpoints, values))
+
+
+def _grid_supconv3(fs, x: float, step: float, rows: int = 256) -> float:
+    """max f0(x1) + f1(x2) + f2(x - x1 - x2) over x1, x2 on the step grid.
+
+    Pairs with x1 + x2 > x give a negative third argument, where f2 is -inf,
+    so the full square grid attains the same maximum as the triangle.
+    """
+    grid = np.arange(0.0, x + step / 2, step)
+    f0, f1 = _pwl_eval_grid(fs[0], grid), _pwl_eval_grid(fs[1], grid)
+    best = -math.inf
+    for lo in range(0, len(grid), rows):
+        x1 = grid[lo:lo + rows, None]
+        vals = f0[lo:lo + rows, None] + f1[None, :] + _pwl_eval_grid(fs[2], x - x1 - grid[None, :])
+        best = max(best, float(np.max(vals)))
+    return best
+
+
 class TestConstruction:
     def test_invariants_enforced(self):
         with pytest.raises(ValueError):
@@ -150,19 +173,22 @@ class TestSupconv:
             s = pwl_supconv(fs)
             total = sum(f.breakpoints[-1] for f in fs)
             step = 0.01
+            max_slope = max(f.slopes[0] for f in fs)
             for x in np.linspace(0.0, total, 9):
-                splits = np.arange(0.0, x + step / 2, step)
-                best = -math.inf
-                for x1 in splits:
-                    for x2 in np.arange(0.0, x - x1 + step / 2, step):
-                        val = (
-                            pwl_eval(fs[0], x1)
-                            + pwl_eval(fs[1], x2)
-                            + pwl_eval(fs[2], x - x1 - x2)
-                        )
-                        best = max(best, val)
-                max_slope = max(f.slopes[0] for f in fs)
+                best = _grid_supconv3(fs, x, step)
                 assert pwl_eval(s, x) == pytest.approx(best, abs=3 * step * max_slope)
+
+    def test_grid_evaluator_matches_pwl_eval(self):
+        rng = MixRng(23)
+        for _ in range(5):
+            f = _random_pwl(rng, max_segments=3)
+            xs = np.arange(-0.5, f.breakpoints[-1] + 1.0, 0.01)
+            want = np.asarray([pwl_eval(f, x) for x in xs])
+            got = _pwl_eval_grid(f, xs)
+            assert np.array_equal(np.isneginf(got), xs < 0)
+            assert np.array_equal(np.isneginf(want), xs < 0)
+            inside = xs >= 0
+            assert np.max(np.abs(got[inside] - want[inside])) <= 1e-12
 
     def test_supconv_dominates_feasible_splits(self):
         rng = MixRng(29)

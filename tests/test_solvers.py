@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from numflow.errors import NotSupportedUtility
 from numflow.netmodel import (
@@ -12,6 +13,7 @@ from numflow.netmodel import (
     Link,
     Network,
     gen_instance,
+    iridium_topology,
     routing_matrix,
     small_topology,
 )
@@ -19,6 +21,8 @@ from numflow.pwl import PwlConcave
 from numflow.rng import MixRng
 from numflow.solvers import (
     SolverParams,
+    _aggregate_kkt_residual,
+    _log_arrays,
     admm_u_update,
     cp_prox_f,
     cp_prox_gstar,
@@ -78,6 +82,18 @@ class TestSpdPrefactor:
             x = factor.solve(b)
             assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
+    def test_wide_routing_residual(self):
+        # fewer links than columns: solved through the smaller L x L system
+        rng = np.random.default_rng(2)
+        for L, n in ((3, 8), (14, 30), (1, 5)):
+            R = (rng.random((L, n)) < 0.5).astype(float)
+            A = np.eye(n) + R.T @ R
+            factor = spd_prefactor(R)
+            for _ in range(5):
+                b = rng.standard_normal(n)
+                x = factor.solve(b)
+                assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
 
 class TestAdmmUUpdate:
     def test_worked_example(self):
@@ -133,6 +149,132 @@ class TestSolveAdmm:
         inst = _single_link_instance([[Quadratic(1.0)]])
         with pytest.raises(NotSupportedUtility):
             solve_admm(inst, SolverParams())
+
+
+def _reference_admm(inst, params):
+    """Per-flow ADMM loop: one admm_u_update per class, every flow's log,
+    and I + R^T R factored whatever the shape of R."""
+    R, c, ws = _log_arrays(inst)
+    n = len(ws)
+    r = params.r
+    cho = scipy.linalg.cho_factor(np.eye(n) + R.T @ R)
+
+    def objective(u):
+        return float(sum(np.sum(w * np.log(ui)) for w, ui in zip(ws, u)))
+
+    u = [np.ones_like(w) for w in ws]
+    s = np.asarray([ui.sum() for ui in u])
+    x = s.copy()
+    y = R @ x
+    lam = np.zeros(n)
+    rho = np.zeros(R.shape[0])
+
+    def lagrangian():
+        penalty = 0.5 * r * (np.dot(x - s, x - s) + np.dot(R @ x - y, R @ x - y))
+        return -objective(u) + float(lam @ (s - x)) + float(rho @ (y - R @ x)) + penalty
+
+    prev = lagrangian()
+    converged = False
+    flat_streak = 0
+    for it in range(1, params.max_iter + 1):
+        psi = lam - r * x
+        u = [admm_u_update(psi[i], r, ws[i]) for i in range(n)]
+        s = np.asarray([ui.sum() for ui in u])
+        y = np.minimum(R @ x - rho / r, c)
+        x = scipy.linalg.cho_solve(cho, s + lam / r + R.T @ (y + rho / r))
+        lam = lam + r * (s - x)
+        rho = rho + r * (y - R @ x)
+        cur = lagrangian()
+        if abs(cur - prev) < params.pct / 100.0 * max(abs(prev), 1e-12):
+            flat_streak += 1
+            if flat_streak >= 3:
+                converged = True
+                break
+        else:
+            flat_streak = 0
+        prev = cur
+    return x, lam, -rho, np.concatenate(u), it, converged
+
+
+def _reference_cp(inst, params):
+    """Flow-level Chambolle-Pock with the dense link-by-flow matrix Q."""
+    R, c, ws = _log_arrays(inst)
+    wbar = np.asarray([w.sum() for w in ws])
+    sizes = [len(w) for w in ws]
+    w_flat = np.concatenate(ws)
+    Q = np.repeat(R, sizes, axis=1)
+    tau = min(params.tau, 0.95 / (params.sigma * np.linalg.norm(Q, 2) ** 2))
+    bounds = np.cumsum([0] + sizes)
+
+    def class_sums(u):
+        return np.asarray([u[bounds[i]:bounds[i + 1]].sum() for i in range(len(ws))])
+
+    u = np.ones_like(w_flat)
+    v = u.copy()
+    y = np.zeros(R.shape[0])
+    converged = False
+    for it in range(1, params.max_iter + 1):
+        y = cp_prox_gstar(y + params.sigma * (Q @ v), params.sigma, c)
+        u_new = cp_prox_f(u - tau * (Q.T @ y), tau, w_flat)
+        v = u_new + params.theta * (u_new - u)
+        u = u_new
+        if it % 10 == 0 or it == params.max_iter:
+            if _aggregate_kkt_residual(R, c, wbar, class_sums(u), y) <= params.tol:
+                converged = True
+                break
+    return class_sums(u), None, y, u, it, converged
+
+
+def _assert_same_iterates(sol, ref):
+    x, lam, rho, u, n_iter, converged = ref
+    assert sol.n_iter == n_iter and sol.converged == converged
+    pairs = ((sol.x, x), (sol.lam, lam), (sol.rho, rho), (np.concatenate(sol.u), u))
+    for got, want in pairs:
+        if want is None:
+            assert got is None
+            continue
+        scale = 1.0 + float(np.max(np.abs(want)))
+        assert float(np.max(np.abs(got - want))) <= 1e-10 * scale
+
+
+def _iridium_75():
+    return gen_instance(iridium_topology(), 75, seed=1, endpoint_rule="gateway-constrained")
+
+
+class TestAggregateSpaceIterates:
+    """The aggregate-space loops reproduce the per-flow iterates to round-off."""
+
+    @pytest.mark.parametrize("n", [10, 30])
+    def test_admm_small(self, n):
+        inst = gen_instance(small_topology(), n, seed=1)
+        params = SolverParams()
+        _assert_same_iterates(solve_admm(inst, params), _reference_admm(inst, params))
+
+    def test_admm_iridium(self):
+        inst = _iridium_75()
+        params = SolverParams(r=40.0, pct=1e-4)
+        _assert_same_iterates(solve_admm(inst, params), _reference_admm(inst, params))
+
+    def test_admm_flow_rates_at_max_iter(self):
+        # the loop stops before the stopping rule fires; rates still come
+        # from the last iteration, not from the initial u = 1
+        inst = gen_instance(small_topology(), 10, seed=1)
+        params = SolverParams(max_iter=7)
+        sol = solve_admm(inst, params)
+        assert not sol.converged
+        _assert_same_iterates(sol, _reference_admm(inst, params))
+
+    def test_cp_small(self):
+        inst = gen_instance(small_topology(), 10, seed=1)
+        params = SolverParams()
+        sol = solve_cp(inst, params)
+        assert sol.converged
+        _assert_same_iterates(sol, _reference_cp(inst, params))
+
+    def test_cp_iridium_max_iter(self):
+        inst = _iridium_75()
+        params = SolverParams(max_iter=500)
+        _assert_same_iterates(solve_cp(inst, params), _reference_cp(inst, params))
 
 
 class TestProjectPolytope:
