@@ -31,6 +31,7 @@ from .utility import (
     apportion,
     conjugate_derivative,
     evaluate,
+    kkt_check,
     kkt_check_single_path,
 )
 from .solvers import (

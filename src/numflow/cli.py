@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import asdict
 
 from . import harness, pwl
 from .errors import NumflowError
@@ -105,22 +106,18 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .utility import kkt_check_single_path
+    from .utility import kkt_check
 
     inst = load_instance(args.instance)
     with open(args.solution) as fh:
         doc = json.load(fh)
-    lam = doc.get("rho") or doc.get("lambda")
+    lam = doc.get("rho")
     if lam is None:
         print("solution carries no link duals", file=sys.stderr)
         return EXIT_VERIFY
-    report = kkt_check_single_path(inst, doc["x"], doc["u"], lam, tol=args.tol)
+    report = kkt_check(inst, doc["x"], doc["u"], lam, tol=args.tol)
     print(json.dumps({
-        "primal_feasibility": float(report.primal_feasibility),
-        "dual_nonnegativity": float(report.dual_nonnegativity),
-        "complementary_slackness": float(report.complementary_slackness),
-        "stationarity": float(report.stationarity),
-        "conservation": float(report.conservation),
+        **{name: float(value) for name, value in asdict(report).items()},
         "max_residual": float(report.max_residual),
         "passed": bool(report.passed),
     }, indent=2))

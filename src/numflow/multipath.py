@@ -1,9 +1,12 @@
 """Multipath aggregation: per-path aggregate solving and subflow allocation.
 
 Each flow class carries J paths. The aggregate problem optimizes the N*J
-per-path rates; the per-flow allocation then solves the two-marginal system
-(row sums equal per-path aggregates, column sums equal per-flow targets,
-everything nonnegative) with the rank-one proportional solution
+per-path rates with the projected-gradient loop that ``solve_gradproj``
+runs as its J = 1 case; the optimality check is likewise
+:func:`numflow.utility.kkt_check`, shared with single-path solutions. The
+per-flow allocation then solves the two-marginal system (row sums equal
+per-path aggregates, column sums equal per-flow targets, everything
+nonnegative) with the rank-one proportional solution
 u[k, j] = x_j * g_k / x_bar, which satisfies both marginals exactly
 whenever they are consistent.
 """
@@ -15,18 +18,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (
-    DimensionMismatch,
-    InconsistentTargets,
-    InsufficientPaths,
-    NoPath,
-    NotSupportedUtility,
-    TooManyClasses,
-)
+from .errors import InconsistentTargets, InsufficientPaths, NoPath, TooManyClasses
 from .netmodel import FlowClass, Instance, Network, admissible_pairs, dijkstra_path, routing_matrix
 from .rng import MixRng
-from .solvers import SolverParams, project_polytope_with_duals
-from .utility import WeightedLog, conjugate_derivative, evaluate
+from .solvers import SolverParams, _gradproj_loop, _log_arrays
+from .solvers import project_polytope_with_duals  # noqa: F401  (patched by the benchmark tracer)
+from .utility import KktReport, WeightedLog, evaluate, kkt_check
 
 
 @dataclass
@@ -111,28 +108,6 @@ def gen_multipath_instance(
     return Instance(net, classes, routing_matrix(net, classes), "multipath", paths_per_class, seed)
 
 
-def _multipath_arrays(inst: Instance):
-    ws = []
-    for cls in inst.classes:
-        if not all(isinstance(f, WeightedLog) for f in cls.flows):
-            raise NotSupportedUtility("multipath solver requires weighted-log utilities")
-        ws.append(np.asarray([f.w for f in cls.flows], dtype=float))
-    return inst.routing.dense(), inst.network.capacities, ws
-
-
-def _multipath_kkt_residual(R, c, wbar, x_flat, lam, mu_flat, J) -> float:
-    load = R @ x_flat
-    feas = np.max((load - c) / np.maximum(c, 1.0), initial=0.0)
-    slack = np.max(np.abs(lam * (load - c)) / np.maximum(c, 1.0), initial=0.0)
-    dual = max(np.max(-lam, initial=0.0), np.max(-mu_flat, initial=0.0))
-    comp_mu = np.max(np.abs(mu_flat * x_flat), initial=0.0)
-    price = R.T @ lam - mu_flat
-    x_bar = x_flat.reshape(-1, J).sum(axis=1)
-    grad = np.repeat(wbar / np.maximum(x_bar, 1e-300), J)
-    stat = np.max(np.abs(grad - price) / np.maximum(grad, 1e-12))
-    return float(max(feas, slack, dual, comp_mu, stat))
-
-
 def solve_multipath_aggregate(inst: Instance, params: SolverParams):
     """Projected gradient on the N*J per-path aggregates.
 
@@ -140,28 +115,10 @@ def solve_multipath_aggregate(inst: Instance, params: SolverParams):
     from the final projection's active set scaled by the step size, with
     mu reported as 0 wherever the path rate is clearly positive.
     """
-    R, c, ws = _multipath_arrays(inst)
+    R, c, ws = _log_arrays(inst)
     wbar = np.asarray([w.sum() for w in ws])
-    n = len(ws)
-    J = inst.paths_per_class
-    L = R.shape[0]
-    row_deg = np.maximum(R.sum(axis=1), 1.0)
-    x = np.full(n * J, 0.5 * float(np.min(c / row_deg)))
-    lam = np.zeros(L)
-    mu = np.zeros(n * J)
-    converged = False
-    it = 0
-    for it in range(1, params.max_iter + 1):
-        x_bar = x.reshape(n, J).sum(axis=1)
-        grad = np.repeat(wbar / np.maximum(x_bar, 1e-12), J)
-        x, nu = project_polytope_with_duals(x + params.alpha * grad, R, c)
-        x = np.maximum(x, 0.0)  # clear projection round-off
-        lam = nu[:L] / params.alpha
-        mu = nu[L:] / params.alpha
-        mu[x > params.tol] = 0.0
-        if _multipath_kkt_residual(R, c, wbar, x, lam, mu, J) <= params.tol:
-            converged = True
-            break
+    n, J = len(ws), inst.paths_per_class
+    x, lam, mu, it, converged = _gradproj_loop(R, c, wbar, J, params)
     return x.reshape(n, J), lam, mu.reshape(n, J), it, converged
 
 
@@ -198,7 +155,7 @@ def allocate_subflows(
 def solve_multipath(inst: Instance, params: SolverParams) -> MultipathAllocation:
     """Aggregate solve plus per-class proportional subflow allocation."""
     t0 = time.perf_counter()
-    R, c, ws = _multipath_arrays(inst)
+    R, c, ws = _log_arrays(inst)
     x, lam, mu, n_iter, converged = solve_multipath_aggregate(inst, params)
     x_bar = x.sum(axis=1)
     us = []
@@ -223,77 +180,11 @@ def solve_multipath(inst: Instance, params: SolverParams) -> MultipathAllocation
     )
 
 
-@dataclass(frozen=True)
-class MultipathKktReport:
-    link_feasibility: float
-    flow_nonnegativity: float
-    dual_nonnegativity: float
-    link_slackness: float
-    flow_slackness: float
-    stationarity: float
-    tol: float
-
-    @property
-    def max_residual(self) -> float:
-        return max(
-            self.link_feasibility,
-            self.flow_nonnegativity,
-            self.dual_nonnegativity,
-            self.link_slackness,
-            self.flow_slackness,
-            self.stationarity,
-        )
-
-    @property
-    def passed(self) -> bool:
-        return self.max_residual <= self.tol
-
-
-def kkt_check_multipath(inst: Instance, alloc: MultipathAllocation, tol: float = 1e-5) -> MultipathKktReport:
-    """Verify the seven multipath optimality conditions at the allocation.
+def kkt_check_multipath(inst: Instance, alloc: MultipathAllocation, tol: float = 1e-5) -> KktReport:
+    """Verify the multipath optimality conditions at the allocation.
 
     Link duals play the role of flow-level link duals and each path's
-    nonnegativity dual is shared by all flows on that path; stationarity
-    compares each flow's total rate with the conjugate derivative at its
-    per-path price.
+    nonnegativity dual is shared by all flows on that path; see
+    :func:`numflow.utility.kkt_check`.
     """
-    R = inst.routing.dense()
-    c = inst.network.capacities
-    n = len(inst.classes)
-    J = inst.paths_per_class
-    if alloc.x.shape != (n, J) or alloc.mu.shape != (n, J):
-        raise DimensionMismatch("allocation shape inconsistent with instance")
-    if alloc.lam.shape[0] != R.shape[0]:
-        raise DimensionMismatch("link dual length mismatch")
-
-    load = R @ np.asarray(
-        [alloc.u[i][:, j].sum() for i in range(n) for j in range(J)]
-    )
-    feas = float(np.max((load - c) / np.maximum(c, 1.0), initial=0.0))
-    u_neg = max(float(np.max(-ui, initial=0.0)) for ui in alloc.u)
-    dual = max(
-        float(np.max(-alloc.lam, initial=0.0)),
-        float(np.max(-alloc.mu, initial=0.0)),
-    )
-    link_slack = float(np.max(np.abs(alloc.lam * (load - c)) / np.maximum(c, 1.0), initial=0.0))
-
-    flow_slack = 0.0
-    stat = 0.0
-    for i, cls in enumerate(inst.classes):
-        if alloc.u[i].shape != (len(cls.flows), J):
-            raise DimensionMismatch(f"class {i} allocation shape mismatch")
-        prices = R[:, i * J:(i + 1) * J].T @ alloc.lam  # [S_i^T lam]_j
-        totals = alloc.u[i].sum(axis=1)
-        for j in range(J):
-            flow_slack = max(
-                flow_slack,
-                float(np.max(np.abs(alloc.mu[i, j] * alloc.u[i][:, j]), initial=0.0)),
-            )
-            v = prices[j] - alloc.mu[i, j]
-            for k, fam in enumerate(cls.flows):
-                if v > 0:
-                    target = conjugate_derivative(fam)(v)
-                    stat = max(stat, abs(totals[k] - target) / max(abs(target), 1e-12))
-                else:
-                    stat = max(stat, 1.0)
-    return MultipathKktReport(feas, u_neg, dual, link_slack, flow_slack, stat, tol)
+    return kkt_check(inst, alloc.x, alloc.u, alloc.lam, tol=tol, mu=alloc.mu)

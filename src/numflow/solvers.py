@@ -12,7 +12,9 @@ Three solvers share the aggregate-flow structure:
   class sums (``np.add.reduceat``) and the routing matrix, never as a
   dense link-by-flow matrix.
 * ``solve_gradproj``: projected gradient ascent on the N-variable
-  aggregate problem, apportioned to flows at the end.
+  aggregate problem, apportioned to flows at the end. Its loop is the
+  J = 1 case of the per-path loop that ``solve_multipath_aggregate`` runs
+  on N*J variables.
 
 All three require weighted-log utilities (the closed-form case). A fourth
 path, ``solve_pwl_aggregate``, handles piecewise-linear utilities at desk
@@ -31,7 +33,7 @@ import scipy.linalg
 from .errors import DimensionMismatch, MaxIterExceeded, NotSupportedUtility
 from .netmodel import Instance, RoutingMatrix
 from .pwl import pwl_apportion, pwl_eval
-from .utility import PwlUtility, WeightedLog
+from .utility import PwlUtility, WeightedLog, aggregate_kkt_residual
 
 
 @dataclass(frozen=True)
@@ -122,8 +124,6 @@ def spd_prefactor(R: RoutingMatrix | np.ndarray) -> SpdFactor:
 
 def _log_arrays(inst: Instance):
     """Dense routing, capacities, per-class weight vectors for log instances."""
-    if inst.paths_per_class != 1:
-        raise NotSupportedUtility("single-path instances only")
     ws = []
     for cls in inst.classes:
         if not all(isinstance(f, WeightedLog) for f in cls.flows):
@@ -134,18 +134,6 @@ def _log_arrays(inst: Instance):
 
 def _log_objective(ws: list[np.ndarray], u: Sequence[np.ndarray]) -> float:
     return float(sum(np.sum(w * np.log(ui)) for w, ui in zip(ws, u)))
-
-
-def _aggregate_kkt_residual(R, c, wbar, x, lam) -> float:
-    """Max scaled violation of the aggregate problem's optimality conditions."""
-    load = R @ x
-    feas = np.max((load - c) / np.maximum(c, 1.0), initial=0.0)
-    slack = np.max(np.abs(lam * (load - c)) / np.maximum(c, 1.0), initial=0.0)
-    dual = np.max(-lam, initial=0.0)
-    price = R.T @ lam
-    grad = wbar / np.maximum(x, 1e-300)
-    stat = np.max(np.abs(grad - price) / np.maximum(grad, 1e-12))
-    return float(max(feas, slack, dual, stat))
 
 
 # ---------------------------------------------------------------------------
@@ -180,6 +168,8 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
     (non-convergence is flagged, not raised).
     """
     t0 = time.perf_counter()
+    if inst.paths_per_class != 1:
+        raise NotSupportedUtility("single-path instances only")
     R, c, ws = _log_arrays(inst)
     n = len(ws)
     r = params.r
@@ -318,6 +308,35 @@ def project_polytope_with_duals(x, R: RoutingMatrix | np.ndarray, c):
     return _project_qp(z, G, h, max_changes)
 
 
+def _gradproj_loop(R: np.ndarray, c: np.ndarray, wbar: np.ndarray, J: int, params: SolverParams):
+    """Projected gradient ascent on the N*J per-path aggregates, J per class.
+
+    Class i's utility is wbar_i log(sum_j x_ij), so every path of a class
+    gets the gradient of its class total. Returns (x, lam, mu, n_iter,
+    converged) with x and mu flat, class by class.
+    """
+    n = len(wbar)
+    L = R.shape[0]
+    row_deg = np.maximum(R.sum(axis=1), 1.0)
+    x = np.full(n * J, 0.5 * float(np.min(c / row_deg)))
+    lam = np.zeros(L)
+    mu = np.zeros(n * J)
+    converged = False
+    it = 0
+    for it in range(1, params.max_iter + 1):
+        x_bar = x.reshape(n, J).sum(axis=1)
+        grad = np.repeat(wbar / np.maximum(x_bar, 1e-12), J)
+        x, nu = project_polytope_with_duals(x + params.alpha * grad, R, c)
+        x = np.maximum(x, 0.0)  # clear projection round-off
+        lam = nu[:L] / params.alpha
+        mu = nu[L:] / params.alpha
+        mu[x > params.tol] = 0.0
+        if aggregate_kkt_residual(R, c, wbar, x, lam, mu) <= params.tol:
+            converged = True
+            break
+    return x, lam, mu, it, converged
+
+
 # ---------------------------------------------------------------------------
 # Gradient projection
 
@@ -325,21 +344,12 @@ def project_polytope_with_duals(x, R: RoutingMatrix | np.ndarray, c):
 def solve_gradproj(inst: Instance, params: SolverParams) -> Solution:
     """Projected gradient ascent on the aggregate problem, then apportionment."""
     t0 = time.perf_counter()
+    if inst.paths_per_class != 1:
+        raise NotSupportedUtility("single-path instances only")
     R, c, ws = _log_arrays(inst)
     wbar = np.asarray([w.sum() for w in ws])
     n = len(ws)
-    row_deg = np.maximum(R.sum(axis=1), 1.0)
-    x = np.full(n, 0.5 * float(np.min(c / row_deg)))
-    lam = np.zeros(R.shape[0])
-    converged = False
-    it = 0
-    for it in range(1, params.max_iter + 1):
-        grad = wbar / np.maximum(x, 1e-12)
-        x, nu = project_polytope_with_duals(x + params.alpha * grad, R, c)
-        lam = nu[: R.shape[0]] / params.alpha
-        if _aggregate_kkt_residual(R, c, wbar, np.maximum(x, 1e-12), lam) <= params.tol:
-            converged = True
-            break
+    x, lam, _, it, converged = _gradproj_loop(R, c, wbar, 1, params)
     u = tuple(ws[i] / wbar[i] * x[i] for i in range(n))
     return Solution(
         x=x,
@@ -383,6 +393,8 @@ def solve_cp(inst: Instance, params: SolverParams) -> Solution:
     ||Q||_2 = ||R diag(sqrt(K))||_2.
     """
     t0 = time.perf_counter()
+    if inst.paths_per_class != 1:
+        raise NotSupportedUtility("single-path instances only")
     R, c, ws = _log_arrays(inst)
     wbar = np.asarray([w.sum() for w in ws])
     sizes = np.asarray([len(w) for w in ws])
@@ -403,7 +415,7 @@ def solve_cp(inst: Instance, params: SolverParams) -> Solution:
         u = u_new
         if it % 10 == 0 or it == params.max_iter:
             x = np.add.reduceat(u, starts)
-            if _aggregate_kkt_residual(R, c, wbar, x, y) <= params.tol:
+            if aggregate_kkt_residual(R, c, wbar, x, y) <= params.tol:
                 converged = True
                 break
     x = np.add.reduceat(u, starts)

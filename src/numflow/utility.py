@@ -183,13 +183,37 @@ def apportion(cu: ClassUtility, x_star: float) -> list[float]:
     raise MixedTags(f"cannot apportion {type(first).__name__}")
 
 
+def aggregate_kkt_residual(R, c, wbar, x, lam, mu=None) -> float:
+    """Max scaled violation of the aggregate problem's optimality conditions.
+
+    ``x`` holds the N*J per-path aggregates class by class, so J is
+    ``len(x) // len(wbar)``; the single-path problem is J = 1. ``mu`` holds
+    the path-nonnegativity duals and defaults to zero.
+    """
+    J = len(x) // len(wbar)
+    if mu is None:
+        mu = np.zeros_like(x)
+    load = R @ x
+    feas = np.max((load - c) / np.maximum(c, 1.0), initial=0.0)
+    slack = np.max(np.abs(lam * (load - c)) / np.maximum(c, 1.0), initial=0.0)
+    dual = max(np.max(-lam, initial=0.0), np.max(-mu, initial=0.0))
+    comp_mu = np.max(np.abs(mu * x), initial=0.0)
+    price = R.T @ lam - mu
+    x_bar = x.reshape(-1, J).sum(axis=1)
+    grad = np.repeat(wbar / np.maximum(x_bar, 1e-300), J)
+    stat = np.max(np.abs(grad - price) / np.maximum(grad, 1e-12))
+    return float(max(feas, slack, dual, comp_mu, stat))
+
+
 @dataclass(frozen=True)
 class KktReport:
-    """Maximum scaled violations of the single-path optimality conditions."""
+    """Maximum scaled violations of the flow-level optimality conditions."""
 
     primal_feasibility: float
+    flow_nonnegativity: float
     dual_nonnegativity: float
     complementary_slackness: float
+    flow_slackness: float
     stationarity: float
     conservation: float
     tol: float
@@ -198,8 +222,10 @@ class KktReport:
     def max_residual(self) -> float:
         return max(
             self.primal_feasibility,
+            self.flow_nonnegativity,
             self.dual_nonnegativity,
             self.complementary_slackness,
+            self.flow_slackness,
             self.stationarity,
             self.conservation,
         )
@@ -209,43 +235,69 @@ class KktReport:
         return self.max_residual <= self.tol
 
 
-def kkt_check_single_path(inst, x, u, lam, tol: float = 1e-6) -> KktReport:
-    """Verify feasibility, complementary slackness, and per-flow stationarity.
+def _per_path(a, shape: tuple[int, int], what: str) -> np.ndarray:
+    """``a`` as a (rows, J) array; a vector is accepted when J = 1."""
+    a = np.asarray(a, dtype=float)
+    if a.shape != shape and not (shape[1] == 1 and a.shape == shape[:1]):
+        raise DimensionMismatch(f"{what} shape {a.shape} inconsistent with {shape}")
+    return a.reshape(shape)
 
-    ``x`` holds per-class aggregates, ``u`` per-class flow-rate sequences,
-    ``lam`` link duals. Stationarity compares each flow rate with the
-    conjugate derivative at the path price and is scaled relative to the
-    rate; feasibility and slackness are scaled by capacity.
+
+def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
+    """Verify the optimality conditions of a flow-level allocation.
+
+    With J = ``inst.paths_per_class`` paths per class, ``x`` holds the
+    per-class per-path aggregates, (N,) or (N, J); ``u[i]`` holds class i's
+    flow-by-path rates, (K_i,) or (K_i, J); ``lam`` the link duals and
+    ``mu`` the (N, J) path-nonnegativity duals, zero when left out. A
+    single path is the case J = 1.
+
+    Link loads come from ``x``. Stationarity compares each flow's total
+    rate with the conjugate derivative at each of its path prices (link
+    price minus the path's nonnegativity dual) and is scaled relative to
+    the rate; conservation compares the column sums of ``u[i]`` with
+    ``x[i]``; feasibility and link slackness are scaled by capacity.
     """
     R = inst.routing.dense()
-    c = np.asarray([link.cap for link in inst.network.links], dtype=float)
-    x = np.asarray(x, dtype=float)
+    c = inst.network.capacities
+    n = len(inst.classes)
+    J = inst.paths_per_class
+    x = _per_path(x, (n, J), "x")
+    mu = np.zeros((n, J)) if mu is None else _per_path(mu, (n, J), "mu")
     lam = np.asarray(lam, dtype=float)
-    if x.shape[0] != R.shape[1] or lam.shape[0] != R.shape[0]:
-        raise DimensionMismatch("x/lambda sizes inconsistent with routing matrix")
-    if len(u) != len(inst.classes):
-        raise DimensionMismatch("one flow-rate sequence per class required")
+    if lam.shape != (R.shape[0],):
+        raise DimensionMismatch("link dual length inconsistent with routing matrix")
+    if len(u) != n:
+        raise DimensionMismatch("one flow-rate array per class required")
 
-    load = R @ x
-    feas = float(np.max((load - c) / np.maximum(c, 1.0))) if len(c) else 0.0
-    dual = float(np.max(-lam, initial=0.0))
+    load = R @ x.reshape(-1)
+    feas = float(np.max((load - c) / np.maximum(c, 1.0), initial=0.0))
+    dual = max(float(np.max(-lam, initial=0.0)), float(np.max(-mu, initial=0.0)))
     slack = float(np.max(np.abs(lam * (load - c)) / np.maximum(c, 1.0), initial=0.0))
 
+    u_neg = 0.0
+    flow_slack = 0.0
     stat = 0.0
     cons = 0.0
     for i, cls in enumerate(inst.classes):
-        rates = np.asarray(u[i], dtype=float)
-        if rates.shape[0] != len(cls.flows):
-            raise DimensionMismatch(f"class {i} flow count mismatch")
-        price = float(lam @ R[:, i])
-        for k, fam in enumerate(cls.flows):
-            if price > 0:
-                target = conjugate_derivative(fam)(price)
-                stat = max(stat, abs(rates[k] - target) / max(abs(target), 1e-12))
-            else:
-                stat = max(stat, 1.0)  # zero path price cannot be stationary
-        cons = max(cons, abs(float(rates.sum()) - x[i]) / max(abs(x[i]), 1.0))
-    return KktReport(max(feas, 0.0), dual, slack, stat, cons, tol)
+        rates = _per_path(u[i], (len(cls.flows), J), f"class {i} flow rates")
+        u_neg = max(u_neg, float(np.max(-rates, initial=0.0)))
+        totals = rates.sum(axis=1)
+        for j in range(J):
+            flow_slack = max(flow_slack, float(np.max(np.abs(mu[i, j] * rates[:, j]), initial=0.0)))
+            price = float(lam @ R[:, i * J + j]) - mu[i, j]
+            for k, fam in enumerate(cls.flows):
+                if price > 0:
+                    target = conjugate_derivative(fam)(price)
+                    stat = max(stat, abs(totals[k] - target) / max(abs(target), 1e-12))
+                else:
+                    stat = max(stat, 1.0)  # zero path price cannot be stationary
+            cons = max(cons, abs(float(rates[:, j].sum()) - x[i, j]) / max(abs(x[i, j]), 1.0))
+    return KktReport(feas, u_neg, dual, slack, flow_slack, stat, cons, tol)
+
+
+# The single-path name of the public API; the oracle calls the check under it.
+kkt_check_single_path = kkt_check
 
 
 def family_to_json(f: UtilityFamily) -> dict:

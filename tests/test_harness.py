@@ -193,6 +193,30 @@ class TestCli:
         cli_main(["solve", str(inst), "--solver", "admm", "--out", str(sol)])
         assert cli_main(["verify", str(inst), str(sol), "--tol", "1e-9"]) == 3
 
+    def test_verify_without_link_duals(self, tmp_path):
+        # ADMM's class-consistency duals must not stand in for link duals
+        inst = self._gen(tmp_path)
+        sol = tmp_path / "sol.json"
+        assert cli_main(["solve", str(inst), "--solver", "admm", "--out", str(sol)]) == 0
+        doc = json.loads(sol.read_text())
+        assert doc["lambda"] is not None
+        doc["rho"] = None
+        sol.write_text(json.dumps(doc))
+        assert cli_main(["verify", str(inst), str(sol), "--tol", "0.1"]) == 3
+
+    def test_verify_prints_every_component(self, tmp_path, capsys):
+        inst = self._gen(tmp_path)
+        sol = tmp_path / "sol.json"
+        assert cli_main(["solve", str(inst), "--solver", "oracle", "--out", str(sol)]) == 0
+        capsys.readouterr()
+        assert cli_main(["verify", str(inst), str(sol), "--tol", "1e-5"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        for name in ("primal_feasibility", "flow_nonnegativity", "dual_nonnegativity",
+                     "complementary_slackness", "flow_slackness", "stationarity",
+                     "conservation", "max_residual"):
+            assert doc[name] <= 1e-5
+        assert doc["passed"] is True
+
     def test_unknown_solver_usage_error(self, tmp_path):
         inst = self._gen(tmp_path)
         assert cli_main(["solve", str(inst), "--solver", "magic"]) == 1

@@ -79,10 +79,11 @@ class TestSolveAggregate:
 
     def test_j1_reduces_to_single_path_gradproj(self):
         inst = gen_instance(small_topology(), 4, seed=6)
-        x, _, _, _, converged = solve_multipath_aggregate(inst, MP_PARAMS)
+        x, _, _, n_iter, converged = solve_multipath_aggregate(inst, MP_PARAMS)
         assert converged
         sol = solve_gradproj(inst, MP_PARAMS)
-        assert x.reshape(-1) == pytest.approx(sol.x, abs=1e-6)
+        assert np.array_equal(x.reshape(-1), sol.x)
+        assert n_iter == sol.n_iter
 
 
 class TestAllocateSubflows:
@@ -172,6 +173,15 @@ class TestKktCheckMultipath:
         )
         rep = kkt_check_multipath(inst, alloc, tol=1e-5)
         assert rep.stationarity > 0.5
+
+    def test_aggregates_inconsistent_with_flows_detected(self):
+        inst = gen_multipath_instance(small_topology(), 2, 1, paths_per_class=2)
+        alloc = solve_multipath(inst, MP_PARAMS)
+        assert kkt_check_multipath(inst, alloc, tol=1e-5).passed
+        alloc.x = 3.0 * alloc.x
+        rep = kkt_check_multipath(inst, alloc, tol=1e-5)
+        assert not rep.passed
+        assert rep.conservation >= 0.5
 
 
 class TestEndToEnd:

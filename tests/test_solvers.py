@@ -17,16 +17,17 @@ from numflow.netmodel import (
     routing_matrix,
     small_topology,
 )
+from numflow.multipath import gen_multipath_instance, solve_multipath_aggregate
 from numflow.pwl import PwlConcave
 from numflow.rng import MixRng
 from numflow.solvers import (
     SolverParams,
-    _aggregate_kkt_residual,
     _log_arrays,
     admm_u_update,
     cp_prox_f,
     cp_prox_gstar,
     project_polytope,
+    project_polytope_with_duals,
     simplex_maximize,
     solve_admm,
     solve_cp,
@@ -34,7 +35,7 @@ from numflow.solvers import (
     solve_pwl_aggregate,
     spd_prefactor,
 )
-from numflow.utility import PwlUtility, Quadratic, WeightedLog
+from numflow.utility import PwlUtility, Quadratic, WeightedLog, aggregate_kkt_residual
 
 
 def _single_link_instance(class_flows, cap=10.0):
@@ -151,6 +152,13 @@ class TestSolveAdmm:
             solve_admm(inst, SolverParams())
 
 
+@pytest.mark.parametrize("solver", [solve_admm, solve_cp, solve_gradproj])
+def test_single_path_solvers_reject_multipath_instances(solver):
+    inst = gen_multipath_instance(small_topology(), 2, 1, paths_per_class=2)
+    with pytest.raises(NotSupportedUtility):
+        solver(inst, SolverParams(max_iter=10))
+
+
 def _reference_admm(inst, params):
     """Per-flow ADMM loop: one admm_u_update per class, every flow's log,
     and I + R^T R factored whatever the shape of R."""
@@ -219,7 +227,7 @@ def _reference_cp(inst, params):
         v = u_new + params.theta * (u_new - u)
         u = u_new
         if it % 10 == 0 or it == params.max_iter:
-            if _aggregate_kkt_residual(R, c, wbar, class_sums(u), y) <= params.tol:
+            if aggregate_kkt_residual(R, c, wbar, class_sums(u), y) <= params.tol:
                 converged = True
                 break
     return class_sums(u), None, y, u, it, converged
@@ -275,6 +283,103 @@ class TestAggregateSpaceIterates:
         inst = _iridium_75()
         params = SolverParams(max_iter=500)
         _assert_same_iterates(solve_cp(inst, params), _reference_cp(inst, params))
+
+
+def _reference_aggregate_residual(R, c, wbar, x, lam):
+    """Single-path aggregate residual as gradproj and CP computed it."""
+    load = R @ x
+    feas = np.max((load - c) / np.maximum(c, 1.0), initial=0.0)
+    slack = np.max(np.abs(lam * (load - c)) / np.maximum(c, 1.0), initial=0.0)
+    dual = np.max(-lam, initial=0.0)
+    price = R.T @ lam
+    grad = wbar / np.maximum(x, 1e-300)
+    stat = np.max(np.abs(grad - price) / np.maximum(grad, 1e-12))
+    return float(max(feas, slack, dual, stat))
+
+
+def _reference_multipath_residual(R, c, wbar, x_flat, lam, mu_flat, J):
+    """Per-path aggregate residual as the multipath loop computed it."""
+    load = R @ x_flat
+    feas = np.max((load - c) / np.maximum(c, 1.0), initial=0.0)
+    slack = np.max(np.abs(lam * (load - c)) / np.maximum(c, 1.0), initial=0.0)
+    dual = max(np.max(-lam, initial=0.0), np.max(-mu_flat, initial=0.0))
+    comp_mu = np.max(np.abs(mu_flat * x_flat), initial=0.0)
+    price = R.T @ lam - mu_flat
+    x_bar = x_flat.reshape(-1, J).sum(axis=1)
+    grad = np.repeat(wbar / np.maximum(x_bar, 1e-300), J)
+    stat = np.max(np.abs(grad - price) / np.maximum(grad, 1e-12))
+    return float(max(feas, slack, dual, comp_mu, stat))
+
+
+def _reference_gradproj(inst, params):
+    """Single-path projected gradient with no clip and no path duals."""
+    R, c, ws = _log_arrays(inst)
+    wbar = np.asarray([w.sum() for w in ws])
+    row_deg = np.maximum(R.sum(axis=1), 1.0)
+    x = np.full(len(ws), 0.5 * float(np.min(c / row_deg)))
+    converged = False
+    for it in range(1, params.max_iter + 1):
+        grad = wbar / np.maximum(x, 1e-12)
+        x, nu = project_polytope_with_duals(x + params.alpha * grad, R, c)
+        lam = nu[: R.shape[0]] / params.alpha
+        if _reference_aggregate_residual(R, c, wbar, np.maximum(x, 1e-12), lam) <= params.tol:
+            converged = True
+            break
+    return x, lam, None, it, converged
+
+
+def _reference_multipath_aggregate(inst, params):
+    """Projected gradient on the N*J per-path aggregates."""
+    R, c, ws = _log_arrays(inst)
+    wbar = np.asarray([w.sum() for w in ws])
+    n, J, L = len(ws), inst.paths_per_class, R.shape[0]
+    row_deg = np.maximum(R.sum(axis=1), 1.0)
+    x = np.full(n * J, 0.5 * float(np.min(c / row_deg)))
+    converged = False
+    for it in range(1, params.max_iter + 1):
+        x_bar = x.reshape(n, J).sum(axis=1)
+        grad = np.repeat(wbar / np.maximum(x_bar, 1e-12), J)
+        x, nu = project_polytope_with_duals(x + params.alpha * grad, R, c)
+        x = np.maximum(x, 0.0)
+        lam = nu[:L] / params.alpha
+        mu = nu[L:] / params.alpha
+        mu[x > params.tol] = 0.0
+        if _reference_multipath_residual(R, c, wbar, x, lam, mu, J) <= params.tol:
+            converged = True
+            break
+    return x.reshape(n, J), lam, mu.reshape(n, J), it, converged
+
+
+def _assert_same_gradproj(got, ref):
+    assert got[3:] == ref[3:]
+    for a, b in zip(got[:3], ref[:3]):
+        if b is None:
+            continue
+        assert float(np.max(np.abs(a - b))) <= 1e-12 * (1.0 + float(np.max(np.abs(b))))
+
+
+class TestSharedGradprojLoop:
+    """Single path and multipath run one projected-gradient loop; it
+    reproduces both of the loops it replaced."""
+
+    @pytest.mark.parametrize("n, max_iter", [(3, 20000), (10, 500)])
+    def test_single_path(self, n, max_iter):
+        # N=10 is cut at max_iter to bound the test's time
+        inst = gen_instance(small_topology(), n, seed=1)
+        params = SolverParams(max_iter=max_iter)
+        sol = solve_gradproj(inst, params)
+        ref = _reference_gradproj(inst, params)
+        assert ref[4] == (max_iter == 20000)
+        _assert_same_gradproj((sol.x, sol.rho, None, sol.n_iter, sol.converged), ref)
+
+    @pytest.mark.parametrize("n, max_iter", [(5, 5000), (10, 300)])
+    def test_multipath(self, n, max_iter):
+        # N=10 diverges; max_iter=300 stops it non-converged
+        inst = gen_multipath_instance(small_topology(), n, 1, paths_per_class=2)
+        params = SolverParams(alpha=2.0, tol=1e-6, max_iter=max_iter)
+        ref = _reference_multipath_aggregate(inst, params)
+        assert ref[4] == (n == 5)
+        _assert_same_gradproj(solve_multipath_aggregate(inst, params), ref)
 
 
 class TestProjectPolytope:
