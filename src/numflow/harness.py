@@ -139,7 +139,9 @@ def _newton_polish(rho, R, c, terms, rounds: int = 40):
     """Drive the saturated-link equations to machine precision.
 
     Solves R_A x(rho) = c_A over the links with positive price by damped
-    Newton steps; leaves rho unchanged if the active set is degenerate.
+    Newton steps. Dependent active links make the Jacobian singular; the
+    least-squares step then splits the price among them non-uniquely, but
+    x(rho) is unique. Returns the last rho if the SVD itself fails.
     """
     rho = rho.copy()
     for _ in range(rounds):
@@ -155,7 +157,7 @@ def _newton_polish(rho, R, c, terms, rounds: int = 40):
         Ra = R[active]
         jac = (Ra * slopes) @ Ra.T
         try:
-            step = np.linalg.solve(jac, resid)
+            step = np.linalg.lstsq(jac, resid, rcond=None)[0]
         except np.linalg.LinAlgError:
             return rho
         rho_new = rho.copy()

@@ -255,8 +255,11 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
     Link loads come from ``x``. Stationarity compares each flow's total
     rate with the conjugate derivative at each of its path prices (link
     price minus the path's nonnegativity dual) and is scaled relative to
-    the rate; conservation compares the column sums of ``u[i]`` with
-    ``x[i]``; feasibility and link slackness are scaled by capacity.
+    the rate. Piecewise-linear flows have no conjugate derivative; their
+    stationarity is the Fenchel-Young gap of the flow subproblem at the
+    path price (see ``_pwl_stationarity``). Conservation compares the
+    column sums of ``u[i]`` with ``x[i]``; feasibility and link slackness
+    are scaled by capacity.
     """
     R = inst.routing.dense()
     c = inst.network.capacities
@@ -287,13 +290,31 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
             flow_slack = max(flow_slack, float(np.max(np.abs(mu[i, j] * rates[:, j]), initial=0.0)))
             price = float(lam @ R[:, i * J + j]) - mu[i, j]
             for k, fam in enumerate(cls.flows):
-                if price > 0:
+                if isinstance(fam, PwlUtility):
+                    # negative rates are scored by flow_nonnegativity
+                    stat = max(stat, _pwl_stationarity(fam.fn, max(totals[k], 0.0), price))
+                elif price > 0:
                     target = conjugate_derivative(fam)(price)
                     stat = max(stat, abs(totals[k] - target) / max(abs(target), 1e-12))
                 else:
                     stat = max(stat, 1.0)  # zero path price cannot be stationary
             cons = max(cons, abs(float(rates[:, j].sum()) - x[i, j]) / max(abs(x[i, j]), 1.0))
     return KktReport(feas, u_neg, dual, slack, flow_slack, stat, cons, tol)
+
+
+def _pwl_stationarity(f: PwlConcave, rate: float, price: float) -> float:
+    """Scaled Fenchel-Young gap of the flow subproblem max_r f(r) - price*r.
+
+    The gap max_b (f(c_b) - price*c_b) - (f(rate) - price*rate) over the
+    breakpoints c_b is zero exactly when ``rate`` solves the subproblem,
+    and is divided by max(1, |f(rate)|). A negative price leaves the
+    subproblem unbounded above and scores 1.0.
+    """
+    if price < 0:
+        return 1.0
+    best = max(pwl_eval(f, cb) - price * cb for cb in f.breakpoints)
+    value = pwl_eval(f, rate)
+    return (best - (value - price * rate)) / max(1.0, abs(value))
 
 
 # The single-path name of the public API; the oracle calls the check under it.

@@ -1,6 +1,7 @@
 """Tests for the reference oracle, experiment runner, report emission, and CLI."""
 
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -21,11 +22,15 @@ from numflow.netmodel import (
     Link,
     Network,
     gen_instance,
+    iridium_topology,
     routing_matrix,
+    save_instance,
     small_topology,
 )
+from numflow.pwl import PwlConcave
+from numflow.rng import mix
 from numflow.solvers import SolverParams, solve_admm
-from numflow.utility import WeightedLog, evaluate, kkt_check_single_path
+from numflow.utility import PwlUtility, WeightedLog, evaluate, kkt_check_single_path
 
 QUICK_CFG = ExperimentConfig(
     topology="small",
@@ -59,6 +64,14 @@ class TestOracle:
 
     def test_self_consistent_kkt(self):
         inst = gen_instance(small_topology(), 8, seed=13)
+        sol = oracle_solve(inst)
+        assert kkt_check_single_path(inst, sol.x, sol.u, sol.rho, tol=1e-7).passed
+
+    @pytest.mark.parametrize("n, s", [(50, 2), (50, 3), (75, 1)])
+    def test_certifies_iridium_with_dependent_active_links(self, n, s):
+        # the saturated links' Newton Jacobian is singular on these instances
+        inst = gen_instance(iridium_topology(), n, seed=mix(s, n),
+                            endpoint_rule="gateway-constrained")
         sol = oracle_solve(inst)
         assert kkt_check_single_path(inst, sol.x, sol.u, sol.rho, tol=1e-7).passed
 
@@ -216,6 +229,22 @@ class TestCli:
                      "conservation", "max_residual"):
             assert doc[name] <= 1e-5
         assert doc["passed"] is True
+
+    def test_solve_pwl_and_verify(self, tmp_path):
+        base = gen_instance(small_topology(), 6, seed=2)
+        classes = tuple(
+            replace(cls, flows=(
+                PwlUtility(PwlConcave((0.0, 2.0 + i, 5.0 + i), (4.0 - 0.5 * i, 1.0, 0.0))),
+                PwlUtility(PwlConcave((0.0, 3.0), (2.5, 0.0))),
+            ))
+            for i, cls in enumerate(base.classes)
+        )
+        inst = tmp_path / "inst.json"
+        save_instance(Instance(base.network, classes, base.routing), str(inst))
+        sol = tmp_path / "sol.json"
+        assert cli_main(["solve", str(inst), "--solver", "pwl", "--out", str(sol)]) == 0
+        assert max(json.loads(sol.read_text())["rho"]) > 0  # some link binds
+        assert cli_main(["verify", str(inst), str(sol), "--tol", "1e-9"]) == 0
 
     def test_unknown_solver_usage_error(self, tmp_path):
         inst = self._gen(tmp_path)

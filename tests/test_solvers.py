@@ -1,6 +1,7 @@
 """Tests for the iterative solvers and their numerical kernels."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -35,7 +36,13 @@ from numflow.solvers import (
     solve_pwl_aggregate,
     spd_prefactor,
 )
-from numflow.utility import PwlUtility, Quadratic, WeightedLog, aggregate_kkt_residual
+from numflow.utility import (
+    PwlUtility,
+    Quadratic,
+    WeightedLog,
+    aggregate_kkt_residual,
+    kkt_check,
+)
 
 
 def _single_link_instance(class_flows, cap=10.0):
@@ -535,6 +542,52 @@ class TestSimplex:
         )
         assert t[0] == 0.0 and val == 0.0
 
+    def test_beale_cycling_lp(self):
+        # Beale's example, on which the textbook most-negative rule cycles
+        obj = np.asarray([0.75, -20.0, 0.5, -6.0])
+        A = np.asarray([
+            [0.25, -8.0, -1.0, 9.0],
+            [0.5, -12.0, -0.5, 3.0],
+            [0.0, 0.0, 1.0, 0.0],
+        ])
+        b = np.asarray([0.0, 0.0, 1.0])
+        t, val, duals, _ = simplex_maximize(obj, A, b)
+        assert val == pytest.approx(1.25, abs=1e-12)
+        assert obj @ t == pytest.approx(1.25, abs=1e-12)
+        assert duals == pytest.approx([0.0, 1.5, 1.25], abs=1e-12)
+        assert b @ duals == pytest.approx(val, abs=1e-12)
+
+    def test_unbounded_raises(self):
+        # max x + y s.t. x - y <= 1: y grows without bound
+        with pytest.raises(ValueError):
+            simplex_maximize(
+                np.asarray([1.0, 1.0]), np.asarray([[1.0, -1.0]]), np.asarray([1.0])
+            )
+
+    def test_negative_rhs_rejected(self):
+        with pytest.raises(ValueError):
+            simplex_maximize(np.asarray([1.0]), np.asarray([[1.0]]), np.asarray([-1.0]))
+
+
+def _random_pwl(rng: MixRng) -> PwlConcave:
+    nseg = rng.randint(1, 4)
+    breaks = [0.0]
+    for _ in range(nseg):
+        breaks.append(breaks[-1] + 0.1 + 3.0 * rng.uniform())
+    slopes = sorted((5.0 * rng.uniform() for _ in range(nseg)), reverse=True)
+    return PwlConcave(tuple(breaks), tuple(slopes) + (0.0,))
+
+
+def _pwl_instance(n: int, seed: int) -> Instance:
+    """Small-topology routes; each class gets 1-3 random PWL flows."""
+    base = gen_instance(small_topology(), n, seed)
+    rng = MixRng(seed)
+    classes = tuple(
+        replace(cls, flows=tuple(PwlUtility(_random_pwl(rng)) for _ in range(rng.randint(1, 3))))
+        for cls in base.classes
+    )
+    return Instance(base.network, classes, base.routing)
+
 
 class TestSolvePwlAggregate:
     def _instance(self, members, cap):
@@ -564,3 +617,25 @@ class TestSolvePwlAggregate:
         inst = _single_link_instance([[WeightedLog(1.0)]])
         with pytest.raises(NotSupportedUtility):
             solve_pwl_aggregate(inst)
+
+    def test_flat_utilities_give_zero_rates(self):
+        # no positive-slope segment: the LP has no variables
+        f = PwlConcave((0.0,), (0.0,), offset=1.0)
+        sol = solve_pwl_aggregate(self._instance([f], 10.0))
+        assert sol.x[0] == 0.0 and sol.objective == 1.0
+        assert list(sol.rho) == [0.0]
+
+    @pytest.mark.parametrize("n, seed", [(8, 3), (20, 5)])
+    def test_kkt_check_passes(self, n, seed):
+        inst = _pwl_instance(n, seed)
+        sol = solve_pwl_aggregate(inst)
+        assert np.max(sol.rho) > 0  # some link binds
+        report = kkt_check(inst, sol.x, sol.u, sol.rho, tol=1e-9)
+        assert report.passed, report
+
+    def test_kkt_check_fails_without_link_duals(self):
+        inst = _pwl_instance(20, 5)
+        sol = solve_pwl_aggregate(inst)
+        report = kkt_check(inst, sol.x, sol.u, np.zeros_like(sol.rho), tol=1e-9)
+        assert report.stationarity > 1e-3
+        assert not report.passed
