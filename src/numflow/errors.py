@@ -46,7 +46,7 @@ class NotSupportedUtility(NumflowError):
 
 
 class MaxIterExceeded(NumflowError):
-    """Active-set loop failed to settle (ill-conditioned projection)."""
+    """Projection's NNLS solve hit its iteration limit or degenerated (ill-conditioned projection)."""
 
 
 class InconsistentTargets(NumflowError):

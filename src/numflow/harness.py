@@ -215,6 +215,7 @@ class ReportRow:
     t_sec: float       # median over repetitions
     t_mean_sec: float
     converged: bool
+    error: str | None = None   # "<ExceptionClass>: <message>" of a failed row
 
 
 @dataclass(frozen=True)
@@ -237,6 +238,7 @@ class Report:
                     "t_sec": r.t_sec,
                     "t_mean_sec": r.t_mean_sec,
                     "converged": r.converged,
+                    "error": r.error,
                 }
                 for r in self.rows
             ],
@@ -254,6 +256,7 @@ class Report:
                 t_sec=float(r["t_sec"]),
                 t_mean_sec=float(r["t_mean_sec"]),
                 converged=bool(r["converged"]),
+                error=r.get("error"),
             )
             for r in doc["rows"]
         )
@@ -290,6 +293,10 @@ def _recomputed_row(inst: Instance, solver: str, sol: Solution, times: list[floa
 def run_experiment(cfg: ExperimentConfig) -> Report:
     """One row per (solver, N); failed rows are flagged, not fatal.
 
+    A row whose solve raised keeps NaN values and records the exception's
+    class and message in ``error``, which the JSON report carries and the
+    CSV report leaves out.
+
     The per-N instance seed is mix(base seed, N), so adding N values never
     reshuffles existing instances. Rows run one after another, so each
     row's timing is taken with no other solve running in the process.
@@ -315,8 +322,9 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
                 sol = fn(inst, params)
                 times.append(time.perf_counter() - t0)
             return _recomputed_row(inst, solver, sol, times)
-        except Exception:
-            return ReportRow(solver, n, float("nan"), float("nan"), 0, 0.0, 0.0, False)
+        except Exception as exc:
+            return ReportRow(solver, n, float("nan"), float("nan"), 0, 0.0, 0.0, False,
+                             f"{type(exc).__name__}: {exc}")
 
     rows = [run(job) for job in jobs]
     rows.sort(key=lambda r: (r.solver, r.n))

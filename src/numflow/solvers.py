@@ -14,12 +14,13 @@ Three solvers share the aggregate-flow structure:
 * ``solve_gradproj``: projected gradient ascent on the N-variable
   aggregate problem, apportioned to flows at the end. Its loop is the
   J = 1 case of the per-path loop that ``solve_multipath_aggregate`` runs
-  on N*J variables.
+  on N*J variables. Each projection onto the routing polytope is one
+  least-distance problem, solved as NNLS by ``scipy.optimize.nnls``.
 
 All three require weighted-log utilities (the closed-form case). A fourth
 path, ``solve_pwl_aggregate``, handles piecewise-linear utilities via
 supremal convolution and an LP over the convolution's segments, solved by
-HiGHS (``scipy.optimize.linprog``).
+HiGHS (``scipy.optimize.linprog``) on a sparse constraint matrix.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ from typing import Sequence
 import numpy as np
 import scipy.linalg
 import scipy.optimize
+import scipy.sparse
 
 from .errors import DimensionMismatch, MaxIterExceeded, NotSupportedUtility
 from .netmodel import Instance, RoutingMatrix
@@ -237,52 +239,41 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
 
 
 def _project_qp(z: np.ndarray, G: np.ndarray, h: np.ndarray, max_changes: int):
-    """min 0.5*||x - z||^2 s.t. G x <= h, by a primal active-set method.
+    """min 0.5*||x - z||^2 s.t. G x <= h, as a least-distance problem.
+
+    With y = x - z and b = G z - h the problem is min ||y|| s.t.
+    -G y >= b, which Lawson & Hanson (Solving Least Squares Problems,
+    ch. 23) reduce to NNLS: u >= 0 minimizing ||E u - e_last|| with
+    E = [-G^T; b^T / s]. Its residual r = E u - e_last gives
+    x = z - s r[:-1] / r[-1] and the multipliers nu = s u / -r[-1].
+    Dividing b by s = max(1, ||b||_inf) keeps r[-1] off zero when z is
+    huge. x = z + y loses about eps*||z|| to cancellation, which leaves
+    the projection of a far-off z (a diverging iteration) visibly
+    infeasible; that x is projected once more and the multipliers add up.
 
     Requires x = 0 feasible (h >= 0). Returns (x, nu) with nu the
-    multipliers of all rows (zero off the final working set). Constraint
-    selection ties break on the smallest row index for termination.
+    multipliers of all rows. ``max_changes`` caps each NNLS solve.
     """
-    m = G.shape[0]
-    x = np.zeros_like(z)
-    work: list[int] = []
-    scale = 1.0 + float(np.linalg.norm(z))
-    for _ in range(max_changes):
-        d = z - x
-        if work:
-            Gw = G[work]
-            M = Gw @ Gw.T
-            nu_w, *_ = np.linalg.lstsq(M, Gw @ d, rcond=None)
-            p = d - Gw.T @ nu_w
-        else:
-            nu_w = np.empty(0)
-            p = d
-        if np.linalg.norm(p) <= 1e-12 * scale:
-            if work and np.min(nu_w) < -1e-10:
-                # drop the most negative multiplier (smallest index on ties)
-                j = int(np.argmin(nu_w))
-                work.pop(j)
-                continue
-            nu = np.zeros(m)
-            for idx, row in enumerate(work):
-                nu[row] = max(nu_w[idx], 0.0)
-            return x, nu
-        # longest feasible step along p
-        alpha = 1.0
-        blocker = -1
-        Gp = G @ p
-        slackness = h - G @ x
-        for i in range(m):
-            if i in work or Gp[i] <= 1e-14 * scale:
-                continue
-            a = max(slackness[i], 0.0) / Gp[i]
-            if a < alpha - 1e-15:
-                alpha = a
-                blocker = i
-        x = x + alpha * p
-        if blocker >= 0:
-            work.append(blocker)
-    raise MaxIterExceeded("projection active-set loop did not settle")
+    x, nu = z, np.zeros(len(h))
+    e_last = np.zeros(G.shape[1] + 1)
+    e_last[-1] = 1.0
+    for _ in range(2):
+        b = G @ x - h
+        s = max(1.0, float(np.max(np.abs(b))))
+        E = np.vstack([-G.T, b / s])
+        try:
+            u, _ = scipy.optimize.nnls(E, e_last, maxiter=max_changes)
+        except RuntimeError as exc:
+            raise MaxIterExceeded("projection NNLS did not settle") from exc
+        r = E @ u - e_last
+        if r[-1] >= 0.0:
+            # r[-1] = -||r||^2 at the NNLS optimum: it is >= 0 only when the
+            # residual vanishes, i.e. when the constraints look infeasible
+            raise MaxIterExceeded("projection NNLS residual degenerated")
+        x, nu = x - s * r[:-1] / r[-1], nu + s * u / -r[-1]
+        if np.max(G @ x - h) <= 1e-12 * (1.0 + float(np.max(h))):
+            break
+    return x, nu
 
 
 def _polytope_constraints(R: np.ndarray, c: np.ndarray):
@@ -439,13 +430,14 @@ def solve_cp(inst: Instance, params: SolverParams) -> Solution:
 # Piecewise-linear path: supremal convolution + LP (HiGHS)
 
 
-def simplex_maximize(obj: np.ndarray, A: np.ndarray, b: np.ndarray):
+def simplex_maximize(obj: np.ndarray, A: np.ndarray | scipy.sparse.sparray, b: np.ndarray):
     """max obj^T t s.t. A t <= b, t >= 0, with b >= 0 (t = 0 is feasible).
 
-    Solved by HiGHS through ``scipy.optimize.linprog``. Returns
-    (t, value, duals, n_iter): ``duals`` >= 0 are the multipliers of the
-    rows of A and ``n_iter`` counts HiGHS iterations. Raises ValueError
-    with HiGHS's message when the LP is not solved (e.g. unbounded).
+    ``A`` may be dense or ``scipy.sparse``. Solved by HiGHS through
+    ``scipy.optimize.linprog``. Returns (t, value, duals, n_iter):
+    ``duals`` >= 0 are the multipliers of the rows of A and ``n_iter``
+    counts HiGHS iterations. Raises ValueError with HiGHS's message when
+    the LP is not solved (e.g. unbounded).
     """
     if np.any(b < 0):
         raise ValueError("simplex requires b >= 0")
@@ -493,18 +485,16 @@ def solve_pwl_aggregate(inst: Instance, params: SolverParams | None = None) -> S
                 seg_class.append(i)
                 seg_slope.append(sl[bidx])
                 seg_len.append(bp[bidx + 1] - bp[bidx])
-    nseg = len(seg_class)
+    seg_cls = np.asarray(seg_class, dtype=int)
     # rows: link loads, then one bound per segment
-    A = np.zeros((L + nseg, nseg))
+    A = scipy.sparse.vstack(
+        [scipy.sparse.csr_array(R[:, seg_cls]), scipy.sparse.identity(len(seg_cls))],
+        format="csr",
+    )
     b = np.concatenate([c, np.asarray(seg_len)])
-    for j in range(nseg):
-        A[:L, j] = R[:, seg_class[j]]
-        A[L + j, j] = 1.0
     t, _, duals, n_iter = simplex_maximize(np.asarray(seg_slope), A, b)
 
-    x = np.zeros(n)
-    for j in range(nseg):
-        x[seg_class[j]] += t[j]
+    x = np.bincount(seg_cls, weights=t, minlength=n)
     u = tuple(
         np.asarray(pwl_apportion(members_per_class[i], x[i])) for i in range(n)
     )

@@ -1,12 +1,15 @@
 """Tests for the reference oracle, experiment runner, report emission, and CLI."""
 
 import json
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from numflow import harness
 from numflow.cli import main as cli_main
+from numflow.errors import MaxIterExceeded
 from numflow.harness import (
     ExperimentConfig,
     Report,
@@ -29,8 +32,11 @@ from numflow.netmodel import (
 )
 from numflow.pwl import PwlConcave
 from numflow.rng import mix
-from numflow.solvers import SolverParams, solve_admm
+from numflow.solvers import SolverParams, solve_admm, solve_cp
 from numflow.utility import PwlUtility, WeightedLog, evaluate, kkt_check_single_path
+
+# iridium gateway-constrained (N, base seed) whose saturated links are dependent
+DEPENDENT_ACTIVE_LINKS = [(50, 2), (50, 3), (75, 1)]
 
 QUICK_CFG = ExperimentConfig(
     topology="small",
@@ -67,13 +73,26 @@ class TestOracle:
         sol = oracle_solve(inst)
         assert kkt_check_single_path(inst, sol.x, sol.u, sol.rho, tol=1e-7).passed
 
-    @pytest.mark.parametrize("n, s", [(50, 2), (50, 3), (75, 1)])
+    @pytest.mark.parametrize("n, s", DEPENDENT_ACTIVE_LINKS)
     def test_certifies_iridium_with_dependent_active_links(self, n, s):
         # the saturated links' Newton Jacobian is singular on these instances
         inst = gen_instance(iridium_topology(), n, seed=mix(s, n),
                             endpoint_rule="gateway-constrained")
         sol = oracle_solve(inst)
         assert kkt_check_single_path(inst, sol.x, sol.u, sol.rho, tol=1e-7).passed
+
+    @pytest.mark.parametrize("n, s", DEPENDENT_ACTIVE_LINKS)
+    def test_admm_and_cp_agree_on_iridium_with_dependent_active_links(self, n, s):
+        # ADMM's percent-change rule gives ~0.1% objectives (README); CP
+        # stops on the KKT residual
+        inst = gen_instance(iridium_topology(), n, seed=mix(s, n),
+                            endpoint_rule="gateway-constrained")
+        ref = oracle_solve(inst).objective
+        admm = solve_admm(inst, SolverParams(r=40.0, pct=1e-4))
+        cp = solve_cp(inst, SolverParams())
+        assert cp.converged
+        assert abs(admm.objective - ref) <= 1e-3 * abs(ref)
+        assert abs(cp.objective - ref) <= 1e-6 * abs(ref)
 
     def test_agrees_with_admm(self):
         net = small_topology()
@@ -119,6 +138,21 @@ class TestRunExperiment:
         b = run_experiment(QUICK_CFG)
         strip = lambda r: (r.solver, r.n, r.f_star, r.l_max, r.n_iter, r.converged)
         assert [strip(r) for r in a.rows] == [strip(r) for r in b.rows]
+
+    def test_failed_row_records_error(self, monkeypatch, tmp_path):
+        def fail(inst, params):
+            raise MaxIterExceeded("projection NNLS did not settle")
+
+        monkeypatch.setitem(harness.SOLVERS, "gradproj", fail)
+        rep = run_experiment(QUICK_CFG)
+        path = tmp_path / "rep.json"
+        emit_report(rep, "json", str(path))
+        rows = {r["solver"]: r for r in json.loads(path.read_text())["rows"]}
+        assert rows["gradproj"]["error"] == "MaxIterExceeded: projection NNLS did not settle"
+        assert math.isnan(rows["gradproj"]["f_star"]) and not rows["gradproj"]["converged"]
+        assert rows["admm"]["error"] is None
+        again = Report.from_json(json.loads(path.read_text()))
+        assert [r.error for r in again.rows] == [r.error for r in rep.rows]
 
     def test_config_from_json(self):
         cfg = ExperimentConfig.from_json(
@@ -177,6 +211,12 @@ class TestReports:
         emit_report(rep, "json", str(path))
         again = Report.from_json(json.loads(path.read_text()))
         assert again == rep
+
+    def test_json_without_error_field_loads(self):
+        doc = Report(rows=self.ROWS, seed=9).to_json()
+        for row in doc["rows"]:
+            del row["error"]
+        assert Report.from_json(doc) == Report(rows=self.ROWS, seed=9)
 
 
 class TestCli:

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from numflow.errors import NotSupportedUtility
+from numflow.errors import MaxIterExceeded, NotSupportedUtility
 from numflow.netmodel import (
     FlowClass,
     Instance,
@@ -20,10 +20,12 @@ from numflow.netmodel import (
 )
 from numflow.multipath import gen_multipath_instance, solve_multipath_aggregate
 from numflow.pwl import PwlConcave
-from numflow.rng import MixRng
+from numflow.rng import MixRng, mix
 from numflow.solvers import (
     SolverParams,
     _log_arrays,
+    _polytope_constraints,
+    _project_qp,
     admm_u_update,
     cp_prox_f,
     cp_prox_gstar,
@@ -422,6 +424,109 @@ class TestProjectPolytope:
             pa = project_polytope(a, dense, c)
             pb = project_polytope(b, dense, c)
             assert np.linalg.norm(pa - pb) <= np.linalg.norm(a - b) + 1e-10
+
+
+def _reference_project_qp(z, G, h, max_changes):
+    """The primal active-set projection that the NNLS solve replaced.
+
+    Starts at x = 0 and adds one blocking row per step, solving the
+    working set's multipliers by least squares.
+    """
+    m = G.shape[0]
+    x = np.zeros_like(z)
+    work = []
+    scale = 1.0 + float(np.linalg.norm(z))
+    for _ in range(max_changes):
+        d = z - x
+        if work:
+            Gw = G[work]
+            nu_w, *_ = np.linalg.lstsq(Gw @ Gw.T, Gw @ d, rcond=None)
+            p = d - Gw.T @ nu_w
+        else:
+            nu_w = np.empty(0)
+            p = d
+        if np.linalg.norm(p) <= 1e-12 * scale:
+            if work and np.min(nu_w) < -1e-10:
+                work.pop(int(np.argmin(nu_w)))
+                continue
+            nu = np.zeros(m)
+            for idx, row in enumerate(work):
+                nu[row] = max(nu_w[idx], 0.0)
+            return x, nu
+        alpha = 1.0
+        blocker = -1
+        Gp = G @ p
+        slackness = h - G @ x
+        for i in range(m):
+            if i in work or Gp[i] <= 1e-14 * scale:
+                continue
+            a = max(slackness[i], 0.0) / Gp[i]
+            if a < alpha - 1e-15:
+                alpha = a
+                blocker = i
+        x = x + alpha * p
+        if blocker >= 0:
+            work.append(blocker)
+    raise AssertionError("reference active-set loop did not settle")
+
+
+def _projection_constraints(name):
+    if name == "small":
+        inst = gen_instance(small_topology(), 30, seed=1)
+    elif name == "iridium":
+        inst = gen_instance(iridium_topology(), 50, seed=mix(1, 50),
+                            endpoint_rule="gateway-constrained")
+    else:  # the routing of the multipath job that diverges
+        inst = gen_multipath_instance(small_topology(), 10, 1, paths_per_class=2)
+    R = inst.routing.dense()
+    G, h = _polytope_constraints(R, inst.network.capacities)
+    return G, h, 10 * sum(R.shape)
+
+
+def _scaled_kkt_residual(z, G, h, x, nu):
+    """Largest KKT violation of the projection of z, relative to 1 + ||z||_inf."""
+    scale = 1.0 + float(np.max(np.abs(z)))
+    slack = G @ x - h
+    return max(
+        float(np.max(np.abs(x - z + G.T @ nu))) / scale,
+        max(float(np.max(slack)), 0.0) / scale,
+        max(float(-np.min(nu)), 0.0) / scale,
+        float(np.max(np.abs(nu * slack))) / scale**2,
+    )
+
+
+class TestProjectQp:
+    @pytest.mark.parametrize("name", ["small", "iridium"])
+    @pytest.mark.parametrize("scale", [1e-3, 1.0, 1e3, 1e6, 1e10])
+    def test_matches_active_set_reference(self, name, scale):
+        G, h, max_changes = _projection_constraints(name)
+        rng = np.random.default_rng(11)
+        for _ in range(3):
+            z = scale * (rng.standard_normal(G.shape[1]) + 0.5)
+            x, nu = _project_qp(z, G, h, max_changes)
+            ref, _ = _reference_project_qp(z, G, h, max_changes)
+            bound = 1e-12 * (1.0 + float(np.max(np.abs(z))))
+            assert float(np.max(np.abs(x - ref))) <= bound
+            assert _scaled_kkt_residual(z, G, h, x, nu) <= 1e-12
+
+    def test_far_point_comes_back_feasible(self):
+        # entries of about 1e13, as the diverging multipath iteration reaches:
+        # x = z + y cancels about eps*||z||, which the second solve removes
+        G, h, max_changes = _projection_constraints("multipath")
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            z = 1e13 * rng.standard_normal(G.shape[1])
+            x, nu = _project_qp(z, G, h, max_changes)
+            assert float(np.max(G @ x - h)) <= 1e-12 * (1.0 + float(np.max(h)))
+            assert _scaled_kkt_residual(z, G, h, x, nu) <= 1e-12
+            ref, _ = _reference_project_qp(z, G, h, max_changes)
+            assert float(np.max(np.abs(x - ref))) <= 1e-12 * (1.0 + float(np.max(np.abs(z))))
+
+    def test_max_iter_exceeded(self):
+        G, h, _ = _projection_constraints("small")
+        z = 1e3 * (np.random.default_rng(17).standard_normal(G.shape[1]) + 0.5)
+        with pytest.raises(MaxIterExceeded):
+            _project_qp(z, G, h, 1)
 
 
 class TestSolveGradproj:
