@@ -12,7 +12,7 @@ import sys
 from dataclasses import asdict
 
 from . import harness, pwl
-from .errors import NumflowError
+from .errors import MaxIterExceeded, NonConvergence, NumflowError
 from .netmodel import gen_instance, load_instance, save_instance
 from .solvers import SolverParams, solve_pwl_aggregate
 
@@ -160,7 +160,7 @@ def main(argv: list[str] | None = None) -> int:
         return handlers[args.command](args)
     except NumflowError as exc:
         print(f"numflow: {exc}", file=sys.stderr)
-        return EXIT_NOCONV if exc.__class__.__name__ == "NonConvergence" else EXIT_USAGE
+        return EXIT_NOCONV if isinstance(exc, (NonConvergence, MaxIterExceeded)) else EXIT_USAGE
     except OSError as exc:
         print(f"numflow: {exc}", file=sys.stderr)
         return EXIT_USAGE

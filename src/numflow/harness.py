@@ -1,11 +1,13 @@
 """Reference oracle, experiment runner, and report emission.
 
-The oracle solves the link-price dual: per-flow rates are recovered as
-conjugate derivatives of the path price, the price vector is optimized over
-the nonnegative orthant (quasi-Newton with bound constraints, then a Newton
-polish on the saturated links), and the result is accepted only if the
-full KKT residual meets the tolerance. It shares no iteration machinery
-with the first-order solvers and is intended for small instances.
+The oracle solves the link-price dual over the nonnegative orthant
+(quasi-Newton with bound constraints, then a Newton polish on the saturated
+links). By the paper's aggregation theorem each class enters the dual only
+through its aggregate, so the dual is evaluated on N class aggregates. The
+per-flow rates are then recovered as conjugate derivatives of the final
+path prices, and the result is accepted only if their full flow-level KKT
+residual meets the tolerance. It shares no iteration machinery with the
+first-order solvers and is intended for small instances.
 """
 
 from __future__ import annotations
@@ -54,24 +56,39 @@ def _dual_terms(inst: Instance):
 
 def _primal_rates(terms, v: np.ndarray):
     """u[i][k] = conjugate derivative of flow (i,k) at the path price v_i."""
-    out = []
-    for (tag, w, a), vi in zip(terms, v):
-        if tag == "log":
-            out.append(w / vi)
-        else:
-            out.append((a * w / vi) ** (1.0 / (a + 1.0)))
-    return out
+    return [w / vi if tag == "log" else (a * w / vi) ** (1.0 / (a + 1.0))
+            for (tag, w, a), vi in zip(terms, v)]
 
-def _rate_slopes(terms, v: np.ndarray) -> np.ndarray:
-    """d(sum_k u_{i,k})/dv_i, used by the Newton polish."""
-    out = np.empty(len(terms))
-    for i, ((tag, w, a), vi) in enumerate(zip(terms, v)):
-        if tag == "log":
-            out[i] = float(np.sum(-w / vi**2))
-        else:
-            p = 1.0 / (a + 1.0)
-            out[i] = float(np.sum(-p * (a * w) ** p * vi ** (-p - 1.0)))
-    return out
+
+class _AggregateDual:
+    """The link-price dual on class aggregates, by the aggregation theorem.
+
+    Class i's rate at path price v_i is x_i = k_i v_i^-p_i, with k = sum_k w_k
+    and p = 1 for a log class, k = sum_k (a w_k)^p and p = 1/(a+1) for a
+    negative-power class with exponent a. Built once, these make the dual's
+    value and gradient N-vector expressions plus one product with R.
+    """
+
+    def __init__(self, R, c, terms):
+        self.R, self.c = R, c
+        self.log = np.array([tag == "log" for tag, _, _ in terms])
+        self.p = np.array([1.0 if tag == "log" else 1.0 / (a + 1.0) for tag, _, a in terms])
+        self.k = np.array([np.sum(w if tag == "log" else (a * w) ** p)
+                           for (tag, w, a), p in zip(terms, self.p)])
+        self.wlogw = sum(float(np.sum(w * np.log(w))) for tag, w, _ in terms if tag == "log")
+
+    def rates(self, v: np.ndarray):
+        """Class rates x(v) and their slopes dx_i/dv_i = -p_i x_i / v_i."""
+        x = np.where(self.log, self.k / v, self.k * v ** -self.p)
+        return x, -self.p * x / v
+
+    def __call__(self, rho: np.ndarray):
+        """Dual value and gradient at the link prices ``rho``."""
+        v = np.maximum(self.R.T @ rho, 1e-12)
+        log, k, q = self.log, self.k, 1.0 - self.p
+        val = (rho @ self.c + self.wlogw - k[log] @ (np.log(v[log]) + 1.0)
+               - (k[~log] / q[~log]) @ v[~log] ** q[~log])
+        return float(val), self.c - self.R @ self.rates(v)[0]
 
 
 def oracle_solve(inst: Instance, tol: float = 1e-7) -> Solution:
@@ -82,22 +99,7 @@ def oracle_solve(inst: Instance, tol: float = 1e-7) -> Solution:
     R = inst.routing.dense()
     c = inst.network.capacities
     terms = _dual_terms(inst)
-    v_min = 1e-12
-
-    def dual(rho: np.ndarray):
-        v = np.maximum(R.T @ rho, v_min)
-        val = float(rho @ c)
-        grad_v = np.empty(len(terms))
-        for i, (tag, w, a) in enumerate(terms):
-            if tag == "log":
-                val += float(np.sum(w * (np.log(w / v[i]) - 1.0)))
-                grad_v[i] = -float(np.sum(w / v[i]))
-            else:
-                u = (a * w / v[i]) ** (1.0 / (a + 1.0))
-                val += float(np.sum(-w * u ** (-a) - v[i] * u))
-                grad_v[i] = -float(np.sum(u))
-            # d(dual)/d(rho) = c + R * grad_v  (grad_v = -x_i)
-        return val, c + R @ grad_v
+    dual = _AggregateDual(R, c, terms)
 
     rho0 = np.full(R.shape[0], 0.1)
     res = scipy.optimize.minimize(
@@ -108,10 +110,9 @@ def oracle_solve(inst: Instance, tol: float = 1e-7) -> Solution:
         bounds=[(0.0, None)] * R.shape[0],
         options={"maxiter": 20000, "ftol": 1e-18, "gtol": 1e-12},
     )
-    rho = np.maximum(res.x, 0.0)
-    rho = _newton_polish(rho, R, c, terms)
+    rho = _newton_polish(np.maximum(res.x, 0.0), R, c, dual.rates)
 
-    v = np.maximum(R.T @ rho, v_min)
+    v = np.maximum(R.T @ rho, 1e-12)
     u = tuple(_primal_rates(terms, v))
     x = np.asarray([ui.sum() for ui in u])
     report = kkt_check_single_path(inst, x, u, rho, tol=tol)
@@ -135,25 +136,24 @@ def oracle_solve(inst: Instance, tol: float = 1e-7) -> Solution:
     )
 
 
-def _newton_polish(rho, R, c, terms, rounds: int = 40):
+def _newton_polish(rho, R, c, rates, rounds: int = 40):
     """Drive the saturated-link equations to machine precision.
 
     Solves R_A x(rho) = c_A over the links with positive price by damped
-    Newton steps. Dependent active links make the Jacobian singular; the
-    least-squares step then splits the price among them non-uniquely, but
-    x(rho) is unique. Returns the last rho if the SVD itself fails.
+    Newton steps, with x and its slopes from ``rates``. Dependent active
+    links make the Jacobian singular; the least-squares step then splits
+    the price among them non-uniquely, but x(rho) is unique. Returns the
+    last rho if the SVD itself fails.
     """
     rho = rho.copy()
     for _ in range(rounds):
         active = np.where(rho > 1e-9)[0]
         if len(active) == 0:
             return rho
-        v = np.maximum(R.T @ rho, 1e-12)
-        x = np.asarray([ui.sum() for ui in _primal_rates(terms, v)])
+        x, slopes = rates(np.maximum(R.T @ rho, 1e-12))
         resid = (R @ x - c)[active]
         if np.max(np.abs(resid)) < 1e-13:
             return rho
-        slopes = _rate_slopes(terms, v)  # negative
         Ra = R[active]
         jac = (Ra * slopes) @ Ra.T
         try:

@@ -257,9 +257,9 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
     price minus the path's nonnegativity dual) and is scaled relative to
     the rate. Piecewise-linear flows have no conjugate derivative; their
     stationarity is the Fenchel-Young gap of the flow subproblem at the
-    path price (see ``_pwl_stationarity``). Conservation compares the
-    column sums of ``u[i]`` with ``x[i]``; feasibility and link slackness
-    are scaled by capacity.
+    path price (see ``_pwl_stationarity``); flows of any other family
+    raise NotLegendre. Conservation compares the column sums of ``u[i]``
+    with ``x[i]``; feasibility and link slackness are scaled by capacity.
     """
     R = inst.routing.dense()
     c = inst.network.capacities
@@ -278,28 +278,53 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
     dual = max(float(np.max(-lam, initial=0.0)), float(np.max(-mu, initial=0.0)))
     slack = float(np.max(np.abs(lam * (load - c)) / np.maximum(c, 1.0), initial=0.0))
 
-    u_neg = 0.0
-    flow_slack = 0.0
-    stat = 0.0
-    cons = 0.0
-    for i, cls in enumerate(inst.classes):
-        rates = _per_path(u[i], (len(cls.flows), J), f"class {i} flow rates")
-        u_neg = max(u_neg, float(np.max(-rates, initial=0.0)))
-        totals = rates.sum(axis=1)
-        for j in range(J):
-            flow_slack = max(flow_slack, float(np.max(np.abs(mu[i, j] * rates[:, j]), initial=0.0)))
-            price = float(lam @ R[:, i * J + j]) - mu[i, j]
-            for k, fam in enumerate(cls.flows):
-                if isinstance(fam, PwlUtility):
-                    # negative rates are scored by flow_nonnegativity
-                    stat = max(stat, _pwl_stationarity(fam.fn, max(totals[k], 0.0), price))
-                elif price > 0:
-                    target = conjugate_derivative(fam)(price)
-                    stat = max(stat, abs(totals[k] - target) / max(abs(target), 1e-12))
-                else:
-                    stat = max(stat, 1.0)  # zero path price cannot be stationary
-            cons = max(cons, abs(float(rates[:, j].sum()) - x[i, j]) / max(abs(x[i, j]), 1.0))
+    per_class = [_per_path(u[i], (len(cls.flows), J), f"class {i} flow rates")
+                 for i, cls in enumerate(inst.classes)]
+    sums = np.array([[r[:, j].sum() for j in range(J)] for r in per_class]).reshape(n, J)
+    sizes = [len(r) for r in per_class]
+    rates = np.concatenate(per_class) if n else np.zeros((0, J))
+    u_neg = float(np.max(-rates, initial=0.0))
+    flow_slack = float(np.max(np.abs(np.repeat(mu, sizes, axis=0) * rates), initial=0.0))
+    cons = float(np.max(np.abs(sums - x) / np.maximum(np.abs(x), 1.0), initial=0.0))
+    flows = [fam for cls in inst.classes for fam in cls.flows]
+    price = np.repeat((R.T @ lam).reshape(n, J) - mu, sizes, axis=0)
+    stat = _stationarity(flows, rates.sum(axis=1), price)
     return KktReport(feas, u_neg, dual, slack, flow_slack, stat, cons, tol)
+
+
+def _stationarity(flows, totals: np.ndarray, price: np.ndarray) -> float:
+    """Max scaled stationarity violation over every flow and path price.
+
+    ``totals`` holds each flow's total rate and ``price`` its (K, J) path
+    prices. Log and negative-power flows are compared with their conjugate
+    derivatives in array expressions; a non-positive path price cannot be
+    stationary and scores 1.0.
+    """
+    stat = 0.0
+    smooth = np.ones(len(flows), dtype=bool)
+    for k, fam in enumerate(flows):
+        if isinstance(fam, PwlUtility):
+            smooth[k] = False
+            for p in price[k]:
+                # negative rates are scored by flow_nonnegativity
+                stat = max(stat, _pwl_stationarity(fam.fn, max(totals[k], 0.0), p))
+        elif not isinstance(fam, (WeightedLog, NegPower)):
+            conjugate_derivative(fam)  # raises NotLegendre
+    if not smooth.all():
+        flows = [f for f, keep in zip(flows, smooth.tolist()) if keep]
+        totals, price = totals[smooth], price[smooth]
+    w = np.fromiter((f.w for f in flows), float, len(flows))[:, None]
+    a = np.fromiter((f.a if isinstance(f, NegPower) else 0.0 for f in flows), float, len(flows))
+    v = np.where(price > 0, price, 1.0)
+    target = w / v
+    power = a > 0
+    if power.any():
+        ap = a[power, None]
+        target[power] = (ap * w[power] / v[power]) ** (1.0 / (ap + 1.0))
+    gap = np.abs(totals[:, None] - target)
+    gap /= np.maximum(target, 1e-12, out=target)  # targets are positive
+    gap[~(price > 0)] = 1.0
+    return float(np.max(gap, initial=stat))
 
 
 def _pwl_stationarity(f: PwlConcave, rate: float, price: float) -> float:

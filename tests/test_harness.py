@@ -9,7 +9,7 @@ import pytest
 
 from numflow import harness
 from numflow.cli import main as cli_main
-from numflow.errors import MaxIterExceeded
+from numflow.errors import MaxIterExceeded, NonConvergence
 from numflow.harness import (
     ExperimentConfig,
     Report,
@@ -33,7 +33,7 @@ from numflow.netmodel import (
 from numflow.pwl import PwlConcave
 from numflow.rng import mix
 from numflow.solvers import SolverParams, solve_admm, solve_cp
-from numflow.utility import PwlUtility, WeightedLog, evaluate, kkt_check_single_path
+from numflow.utility import NegPower, PwlUtility, WeightedLog, evaluate, kkt_check_single_path
 
 # iridium gateway-constrained (N, base seed) whose saturated links are dependent
 DEPENDENT_ACTIVE_LINKS = [(50, 2), (50, 3), (75, 1)]
@@ -51,6 +51,116 @@ def _single_link_instance(class_flows, cap=10.0):
     net = Network(node_count=2, links=(Link(1, 2, cap),))
     classes = tuple(FlowClass(1, 2, ((1,),), tuple(flows)) for flows in class_flows)
     return Instance(net, classes, routing_matrix(net, classes))
+
+
+class _PerFlowDual:
+    """The oracle's dual before it ran on class aggregates: a Python loop
+    over the classes with numpy reductions over each class's flows. Kept
+    as the reference the aggregate form is checked against."""
+
+    def __init__(self, R, c, terms):
+        self.R, self.c, self.terms = R, c, terms
+
+    def rates(self, v):
+        x = np.asarray([ui.sum() for ui in harness._primal_rates(self.terms, v)])
+        slopes = np.empty(len(self.terms))
+        for i, ((tag, w, a), vi) in enumerate(zip(self.terms, v)):
+            if tag == "log":
+                slopes[i] = float(np.sum(-w / vi**2))
+            else:
+                p = 1.0 / (a + 1.0)
+                slopes[i] = float(np.sum(-p * (a * w) ** p * vi ** (-p - 1.0)))
+        return x, slopes
+
+    def __call__(self, rho):
+        v = np.maximum(self.R.T @ rho, 1e-12)
+        val = float(rho @ self.c)
+        grad_v = np.empty(len(self.terms))
+        for i, (tag, w, a) in enumerate(self.terms):
+            if tag == "log":
+                val += float(np.sum(w * (np.log(w / v[i]) - 1.0)))
+                grad_v[i] = -float(np.sum(w / v[i]))
+            else:
+                u = (a * w / v[i]) ** (1.0 / (a + 1.0))
+                val += float(np.sum(-w * u ** (-a) - v[i] * u))
+                grad_v[i] = -float(np.sum(u))
+        return val, self.c + self.R @ grad_v
+
+
+def _single_flow_classes(inst):
+    """``inst`` with every class cut down to its first flow."""
+    classes = tuple(replace(cls, flows=cls.flows[:1]) for cls in inst.classes)
+    return Instance(inst.network, classes, inst.routing)
+
+
+def _dual_instances():
+    small, iridium = small_topology(), iridium_topology()
+    cases = {
+        "log": gen_instance(small, 20, seed=3),
+        "log-single-flow": _single_flow_classes(gen_instance(small, 20, seed=4)),
+        "iridium-log": gen_instance(iridium, 75, seed=1, endpoint_rule="gateway-constrained"),
+    }
+    for a in (1.0, 2.0, 3.0):
+        cases[f"power-a{a:g}"] = gen_instance(small, 20, seed=5, utility_spec={"family": "power", "a": a})
+    cases["power-single-flow"] = _single_flow_classes(
+        gen_instance(small, 20, seed=6, utility_spec={"family": "power", "a": 2.0}))
+    mixed = gen_instance(small, 20, seed=7)
+    classes = tuple(
+        replace(cls, flows=tuple(NegPower(f.w, 1.0 + i % 3) for f in cls.flows)) if i % 2 else cls
+        for i, cls in enumerate(mixed.classes)
+    )
+    cases["log-and-power"] = Instance(mixed.network, classes, mixed.routing)
+    return cases
+
+
+DUAL_INSTANCES = _dual_instances()
+
+
+class TestAggregateDual:
+    @pytest.mark.parametrize("name", sorted(DUAL_INSTANCES))
+    def test_matches_per_flow_dual(self, name):
+        inst = DUAL_INSTANCES[name]
+        R, c = inst.routing.dense(), inst.network.capacities
+        terms = harness._dual_terms(inst)
+        agg, ref = harness._AggregateDual(R, c, terms), _PerFlowDual(R, c, terms)
+        rng = np.random.default_rng(11)
+        rhos = [np.zeros(len(c))]  # every path price clamped to 1e-12
+        rhos += [scale * rng.uniform(size=len(c)) for scale in (1e-3, 0.1, 1.0, 10.0)]
+        rhos += [np.where(rng.uniform(size=len(c)) < 0.7, 0.0, rng.uniform(size=len(c)))]
+        for rho in rhos:
+            val, grad = agg(rho)
+            val_ref, grad_ref = ref(rho)
+            assert abs(val - val_ref) <= 1e-12 * abs(val_ref)
+            # the gradient c - R x is scaled by the size of its two terms
+            x_ref = ref.rates(np.maximum(R.T @ rho, 1e-12))[0]
+            assert np.all(np.abs(grad - grad_ref) <= 1e-12 * (c + R @ x_ref))
+
+    @pytest.mark.parametrize("name", sorted(DUAL_INSTANCES))
+    def test_rates_and_slopes_match_per_flow(self, name):
+        inst = DUAL_INSTANCES[name]
+        R, c = inst.routing.dense(), inst.network.capacities
+        terms = harness._dual_terms(inst)
+        rng = np.random.default_rng(12)
+        for scale in (1e-12, 1e-3, 1.0, 10.0):
+            v = scale * (0.5 + rng.uniform(size=R.shape[1]))
+            x, slopes = harness._AggregateDual(R, c, terms).rates(v)
+            x_ref, slopes_ref = _PerFlowDual(R, c, terms).rates(v)
+            np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=0)
+            np.testing.assert_allclose(slopes, slopes_ref, rtol=1e-12, atol=0)
+
+    @pytest.mark.parametrize("topology, n, s", [("small", 10, 1), ("small", 30, 1)]
+                             + [("iridium", n, s) for n, s in DEPENDENT_ACTIVE_LINKS])
+    def test_oracle_matches_per_flow_reference(self, monkeypatch, topology, n, s):
+        if topology == "small":
+            inst = gen_instance(small_topology(), n, seed=s)
+        else:
+            inst = gen_instance(iridium_topology(), n, seed=mix(s, n),
+                                endpoint_rule="gateway-constrained")
+        sol = oracle_solve(inst)
+        monkeypatch.setattr(harness, "_AggregateDual", _PerFlowDual)
+        ref = oracle_solve(inst)
+        assert np.max(np.abs(sol.x - ref.x)) <= 1e-12 * (1.0 + np.max(ref.x))
+        assert np.max(np.abs(sol.rho - ref.rho)) <= 1e-10
 
 
 class TestOracle:
@@ -93,6 +203,18 @@ class TestOracle:
         assert cp.converged
         assert abs(admm.objective - ref) <= 1e-3 * abs(ref)
         assert abs(cp.objective - ref) <= 1e-6 * abs(ref)
+
+    @pytest.mark.parametrize("topology, n, a", [("small", 20, 1.0), ("small", 20, 2.0),
+                                                ("iridium", 75, 1.0)])
+    def test_certifies_alpha_fair_instances(self, topology, n, a):
+        spec = {"family": "power", "a": a}
+        if topology == "small":
+            inst = gen_instance(small_topology(), n, seed=1, utility_spec=spec)
+        else:
+            inst = gen_instance(iridium_topology(), n, seed=1, utility_spec=spec,
+                                endpoint_rule="gateway-constrained")
+        sol = oracle_solve(inst)
+        assert kkt_check_single_path(inst, sol.x, sol.u, sol.rho, tol=1e-7).passed
 
     def test_agrees_with_admm(self):
         net = small_topology()
@@ -285,6 +407,23 @@ class TestCli:
         assert cli_main(["solve", str(inst), "--solver", "pwl", "--out", str(sol)]) == 0
         assert max(json.loads(sol.read_text())["rho"]) > 0  # some link binds
         assert cli_main(["verify", str(inst), str(sol), "--tol", "1e-9"]) == 0
+
+    @pytest.mark.parametrize("solver, attr, error", [
+        ("gradproj", None, MaxIterExceeded("projection NNLS did not settle")),
+        ("admm", None, NonConvergence("did not converge")),
+        ("oracle", "oracle_solve", NonConvergence("oracle residual too large")),
+        ("oracle", "oracle_solve", MaxIterExceeded("projection NNLS did not settle")),
+    ])
+    def test_non_convergence_exit_code(self, tmp_path, monkeypatch, solver, attr, error):
+        def fail(*args, **kwargs):
+            raise error
+
+        if attr is None:
+            monkeypatch.setitem(harness.SOLVERS, solver, fail)
+        else:
+            monkeypatch.setattr(harness, attr, fail)
+        inst = self._gen(tmp_path)
+        assert cli_main(["solve", str(inst), "--solver", solver]) == 2
 
     def test_unknown_solver_usage_error(self, tmp_path):
         inst = self._gen(tmp_path)
