@@ -48,7 +48,6 @@ from .solvers import (
     spd_prefactor,
 )
 from .multipath import (
-    MultipathAllocation,
     allocate_subflows,
     gen_multipath_instance,
     k_paths,

@@ -115,7 +115,7 @@ def _cmd_verify(args) -> int:
     if lam is None:
         print("solution carries no link duals", file=sys.stderr)
         return EXIT_VERIFY
-    report = kkt_check(inst, doc["x"], doc["u"], lam, tol=args.tol)
+    report = kkt_check(inst, doc["x"], doc["u"], lam, tol=args.tol, mu=doc.get("mu"))
     print(json.dumps({
         **{name: float(value) for name, value in asdict(report).items()},
         "max_residual": float(report.max_residual),

@@ -120,9 +120,8 @@ def oracle_solve(inst: Instance, tol: float = 1e-7) -> Solution:
         raise NonConvergence(
             f"oracle residual {report.max_residual:.3e} exceeds {tol:.1e}"
         )
-    objective = float(
-        sum(evaluate(f, r) for cls, ui in zip(inst.classes, u) for f, r in zip(cls.flows, ui))
-    )
+    objective = float(sum(w @ np.log(ui) if tag == "log" else -(w @ ui ** -a)
+                          for (tag, w, a), ui in zip(terms, u)))
     return Solution(
         x=x,
         u=u,

@@ -2,10 +2,11 @@
 
 Each flow class carries J paths. The aggregate problem optimizes the N*J
 per-path rates with the projected-gradient loop that ``solve_gradproj``
-runs as its J = 1 case; the optimality check is likewise
-:func:`numflow.utility.kkt_check`, shared with single-path solutions. The
-per-flow allocation then solves the two-marginal system (row sums equal
-per-path aggregates, column sums equal per-flow targets, everything
+runs as its J = 1 case; the result type is likewise
+:class:`numflow.solvers.Solution` and the optimality check
+:func:`numflow.utility.kkt_check`, both shared with single-path solutions.
+The per-flow allocation then solves the two-marginal system (row sums
+equal per-path aggregates, column sums equal per-flow targets, everything
 nonnegative) with the rank-one proportional solution
 u[k, j] = x_j * g_k / x_bar, which satisfies both marginals exactly
 whenever they are consistent.
@@ -14,42 +15,15 @@ whenever they are consistent.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import InconsistentTargets, InsufficientPaths, NoPath, TooManyClasses
 from .netmodel import FlowClass, Instance, Network, admissible_pairs, dijkstra_path, routing_matrix
 from .rng import MixRng
-from .solvers import SolverParams, _gradproj_loop, _log_arrays
+from .solvers import Solution, SolverParams, _gradproj_loop, _log_arrays, _log_objective
 from .solvers import project_polytope_with_duals  # noqa: F401  (patched by the benchmark tracer)
-from .utility import KktReport, WeightedLog, evaluate, kkt_check
-
-
-@dataclass
-class MultipathAllocation:
-    x: np.ndarray                      # (N, J) per-class per-path aggregates
-    u: tuple[np.ndarray, ...]          # per class: (K_i, J) flow-by-path rates
-    lam: np.ndarray                    # link duals
-    mu: np.ndarray                     # (N, J) path-nonnegativity duals
-    objective: float
-    l_max: float
-    n_iter: int
-    wall_time: float
-    converged: bool
-
-    def to_json(self) -> dict:
-        return {
-            "x": [[float(v) for v in row] for row in self.x],
-            "u": [[[float(v) for v in row] for row in ui] for ui in self.u],
-            "lambda": [float(v) for v in self.lam],
-            "mu": [[float(v) for v in row] for row in self.mu],
-            "objective": self.objective,
-            "l_max": self.l_max,
-            "n_iter": self.n_iter,
-            "wall_time": self.wall_time,
-            "converged": self.converged,
-        }
+from .utility import KktReport, WeightedLog, kkt_check
 
 
 def k_paths(net: Network, src: int, dst: int, count: int) -> tuple[tuple[int, ...], ...]:
@@ -111,9 +85,10 @@ def gen_multipath_instance(
 def solve_multipath_aggregate(inst: Instance, params: SolverParams):
     """Projected gradient on the N*J per-path aggregates.
 
-    Returns (x as (N, J), lam, mu as (N, J), n_iter, converged); duals come
-    from the final projection's active set scaled by the step size, with
-    mu reported as 0 wherever the path rate is clearly positive.
+    Returns (x as (N, J), lam, mu as (N, J), n_iter, converged), with lam
+    the link duals; duals come from the final projection's active set
+    scaled by the accepted step size, with mu reported as 0 wherever the
+    path rate is clearly positive.
     """
     R, c, ws = _log_arrays(inst)
     wbar = np.asarray([w.sum() for w in ws])
@@ -152,39 +127,39 @@ def allocate_subflows(
     return np.outer(g_bar, x_star) / x_bar
 
 
-def solve_multipath(inst: Instance, params: SolverParams) -> MultipathAllocation:
-    """Aggregate solve plus per-class proportional subflow allocation."""
+def solve_multipath(inst: Instance, params: SolverParams) -> Solution:
+    """Aggregate solve plus per-class proportional subflow allocation.
+
+    The Solution's ``x`` is (N, J), each ``u[i]`` is (K_i, J), ``rho``
+    holds the link duals and ``mu`` the (N, J) path-nonnegativity duals.
+    """
     t0 = time.perf_counter()
     R, c, ws = _log_arrays(inst)
-    x, lam, mu, n_iter, converged = solve_multipath_aggregate(inst, params)
+    x, rho, mu, n_iter, converged = solve_multipath_aggregate(inst, params)
     x_bar = x.sum(axis=1)
     us = []
-    objective = 0.0
-    for i, cls in enumerate(inst.classes):
-        w = ws[i]
+    for i, w in enumerate(ws):
         g_bar = (x_bar[i] / w.sum()) * w if x_bar[i] > 0 else np.zeros_like(w)
-        u = allocate_subflows(x[i], g_bar, tol=1e-6, rescale_fallback=True)
-        us.append(u)
-        rates = u.sum(axis=1)
-        objective += float(sum(evaluate(f, rate) for f, rate in zip(cls.flows, rates)))
-    return MultipathAllocation(
+        us.append(allocate_subflows(x[i], g_bar, tol=1e-6, rescale_fallback=True))
+    return Solution(
         x=x,
         u=tuple(us),
-        lam=lam,
-        mu=mu,
-        objective=objective,
+        lam=None,
+        rho=rho,
+        objective=_log_objective(ws, [u.sum(axis=1) for u in us]),
         l_max=float(np.max(R @ x.reshape(-1))),
         n_iter=n_iter,
         wall_time=time.perf_counter() - t0,
         converged=converged,
+        mu=mu,
     )
 
 
-def kkt_check_multipath(inst: Instance, alloc: MultipathAllocation, tol: float = 1e-5) -> KktReport:
+def kkt_check_multipath(inst: Instance, alloc: Solution, tol: float = 1e-5) -> KktReport:
     """Verify the multipath optimality conditions at the allocation.
 
     Link duals play the role of flow-level link duals and each path's
     nonnegativity dual is shared by all flows on that path; see
     :func:`numflow.utility.kkt_check`.
     """
-    return kkt_check(inst, alloc.x, alloc.u, alloc.lam, tol=tol, mu=alloc.mu)
+    return kkt_check(inst, alloc.x, alloc.u, alloc.rho, tol=tol, mu=alloc.mu)

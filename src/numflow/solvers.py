@@ -7,15 +7,17 @@ Three solvers share the aggregate-flow structure:
   update of a class is ``u_k = w_k t_i`` for one class scalar ``t_i``, so
   an iteration works on N-vectors only; flow rates are built once, after
   the loop.
-* ``solve_cp``: primal-dual iteration with componentwise proximal maps on
-  the flow-level problem. The flow-to-link operator is applied through
-  class sums (``np.add.reduceat``) and the routing matrix, never as a
-  dense link-by-flow matrix.
-* ``solve_gradproj``: projected gradient ascent on the N-variable
-  aggregate problem, apportioned to flows at the end. Its loop is the
-  J = 1 case of the per-path loop that ``solve_multipath_aggregate`` runs
-  on N*J variables. Each projection onto the routing polytope is one
-  least-distance problem, solved as NNLS by ``scipy.optimize.nnls``.
+* ``solve_cp``: Chambolle-Pock primal-dual iteration with componentwise
+  proximal maps on the N-variable aggregate problem; its operator is the
+  routing matrix R itself.
+* ``solve_gradproj``: projected gradient ascent with Armijo backtracking
+  on the N-variable aggregate problem. Its loop is the J = 1 case of the
+  per-path loop that ``solve_multipath_aggregate`` runs on N*J variables.
+  Each projection onto the routing polytope is one least-distance
+  problem, solved as NNLS by ``scipy.optimize.nnls``.
+
+CP and gradproj apportion the aggregate rates to flows once, after the
+loop: u_k = (w_k / wbar_i) x_i.
 
 All three require weighted-log utilities (the closed-form case). A fourth
 path, ``solve_pwl_aggregate``, handles piecewise-linear utilities via
@@ -44,7 +46,7 @@ from .utility import PwlUtility, WeightedLog, aggregate_kkt_residual
 class SolverParams:
     r: float = 20.0          # ADMM penalty
     pct: float = 1e-4        # ADMM relative change stopping threshold
-    alpha: float = 1e-2      # gradient projection step size
+    alpha: float = 1e-2      # gradient projection first trial step
     sigma: float = 1.0       # CP dual step
     tau: float = 0.015       # CP primal step
     theta: float = 1.0       # CP extrapolation
@@ -73,8 +75,10 @@ class SolverParams:
 
 @dataclass
 class Solution:
-    x: np.ndarray                       # per-class aggregate rates
-    u: tuple[np.ndarray, ...]           # per-class flow rates
+    """A solve's result, single-path or multipath (J paths per class)."""
+
+    x: np.ndarray                       # per-class aggregate rates, (N,) or (N, J)
+    u: tuple[np.ndarray, ...]           # per-class flow rates, (K_i,) or (K_i, J)
     lam: np.ndarray | None              # class-consistency duals (ADMM only)
     rho: np.ndarray | None              # link duals
     objective: float
@@ -82,18 +86,23 @@ class Solution:
     n_iter: int
     wall_time: float
     converged: bool
+    mu: np.ndarray | None = None        # (N, J) path-nonnegativity duals (multipath)
 
     def to_json(self) -> dict:
+        def listed(a):
+            return None if a is None else a.tolist()
+
         return {
-            "x": [float(v) for v in self.x],
-            "u": [[float(v) for v in ui] for ui in self.u],
-            "lambda": None if self.lam is None else [float(v) for v in self.lam],
-            "rho": None if self.rho is None else [float(v) for v in self.rho],
+            "x": self.x.tolist(),
+            "u": [ui.tolist() for ui in self.u],
+            "lambda": listed(self.lam),
+            "rho": listed(self.rho),
             "objective": self.objective,
             "l_max": self.l_max,
             "n_iter": self.n_iter,
             "wall_time": self.wall_time,
             "converged": self.converged,
+            "mu": listed(self.mu),
         }
 
 
@@ -301,33 +310,71 @@ def project_polytope_with_duals(x, R: RoutingMatrix | np.ndarray, c):
     return _project_qp(z, G, h, max_changes)
 
 
+# Halvings of params.alpha that one projected-gradient step may take
+_MAX_HALVINGS = 30
+
+
 def _gradproj_loop(R: np.ndarray, c: np.ndarray, wbar: np.ndarray, J: int, params: SolverParams):
     """Projected gradient ascent on the N*J per-path aggregates, J per class.
 
     Class i's utility is wbar_i log(sum_j x_ij), so every path of a class
-    gets the gradient of its class total. Returns (x, lam, mu, n_iter,
-    converged) with x and mu flat, class by class.
+    gets the gradient of its class total. Each step tries ``params.alpha``
+    first and halves it until the projected point satisfies the Armijo
+    condition along the projection arc, f(x+) >= f(x) + 1e-4 grad.(x+ - x)
+    with f = sum_i wbar_i log xbar_i (Bertsekas, Nonlinear Programming,
+    sec. 2.3); the duals are the projection's multipliers over the accepted
+    step. Raises MaxIterExceeded when no step within ``_MAX_HALVINGS``
+    halvings is accepted. Returns (x, lam, mu, n_iter, converged) with x
+    and mu flat, class by class.
     """
     n = len(wbar)
     L = R.shape[0]
     row_deg = np.maximum(R.sum(axis=1), 1.0)
-    x = np.full(n * J, 0.5 * float(np.min(c / row_deg)))
+    x = np.full((n, J), 0.5 * float(np.min(c / row_deg)))
+    x_bar = np.maximum(x.sum(axis=1), 1e-12)
     lam = np.zeros(L)
     mu = np.zeros(n * J)
     converged = False
     it = 0
     for it in range(1, params.max_iter + 1):
-        x_bar = x.reshape(n, J).sum(axis=1)
-        grad = np.repeat(wbar / np.maximum(x_bar, 1e-12), J)
-        x, nu = project_polytope_with_duals(x + params.alpha * grad, R, c)
-        x = np.maximum(x, 0.0)  # clear projection round-off
-        lam = nu[:L] / params.alpha
-        mu = nu[L:] / params.alpha
-        mu[x > params.tol] = 0.0
-        if aggregate_kkt_residual(R, c, wbar, x, lam, mu) <= params.tol:
+        grad = (wbar / x_bar)[:, None]
+        step = params.alpha
+        for _ in range(_MAX_HALVINGS + 1):
+            x_new, nu = project_polytope_with_duals((x + step * grad).ravel(), R, c)
+            x_new = np.maximum(x_new, 0.0).reshape(n, J)  # clear projection round-off
+            bar_new = np.maximum(x_new.sum(axis=1), 1e-12)
+            # f(x+) - f(x) and grad.(x+ - x) are sums over classes of
+            # wbar_i log1p(r_i) and wbar_i r_i; log1p stays accurate for tiny steps
+            ratio = (bar_new - x_bar) / x_bar
+            if wbar @ np.log1p(ratio) >= 1e-4 * (wbar @ ratio):
+                break
+            step *= 0.5
+        else:
+            raise MaxIterExceeded(f"no ascent step after {_MAX_HALVINGS} halvings of alpha")
+        x, x_bar = x_new, bar_new
+        lam = nu[:L] / step
+        mu = nu[L:] / step
+        mu[x.ravel() > params.tol] = 0.0
+        if aggregate_kkt_residual(R, c, wbar, x.ravel(), lam, mu) <= params.tol:
             converged = True
             break
-    return x, lam, mu, it, converged
+    return x.ravel(), lam, mu, it, converged
+
+
+def _apportioned(R, ws, wbar, x, rho, n_iter, converged, t0) -> Solution:
+    """Solution with class i's rate x_i apportioned to its flows as (w_k / wbar_i) x_i."""
+    u = tuple(w / wb * xi for w, wb, xi in zip(ws, wbar, x))
+    return Solution(
+        x=x,
+        u=u,
+        lam=None,
+        rho=rho,
+        objective=_log_objective(ws, u),
+        l_max=float(np.max(R @ x)),
+        n_iter=n_iter,
+        wall_time=time.perf_counter() - t0,
+        converged=converged,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -341,20 +388,8 @@ def solve_gradproj(inst: Instance, params: SolverParams) -> Solution:
         raise NotSupportedUtility("single-path instances only")
     R, c, ws = _log_arrays(inst)
     wbar = np.asarray([w.sum() for w in ws])
-    n = len(ws)
     x, lam, _, it, converged = _gradproj_loop(R, c, wbar, 1, params)
-    u = tuple(ws[i] / wbar[i] * x[i] for i in range(n))
-    return Solution(
-        x=x,
-        u=u,
-        lam=None,
-        rho=lam,
-        objective=_log_objective(ws, u),
-        l_max=float(np.max(R @ x)),
-        n_iter=it,
-        wall_time=time.perf_counter() - t0,
-        converged=converged,
-    )
+    return _apportioned(R, ws, wbar, x, lam, it, converged, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -374,56 +409,40 @@ def cp_prox_gstar(z: np.ndarray, sigma: float, c: np.ndarray) -> np.ndarray:
 
 
 def solve_cp(inst: Instance, params: SolverParams) -> Solution:
-    """Primal-dual iteration on the flow-level problem with per-flow columns.
+    """Chambolle-Pock iteration on the aggregate problem, then apportionment.
 
-    Flow k of class i loads the links of class i's route, so the
-    link-by-flow operator Q repeats each routing column K_i times. It is
-    never formed: Q v = R (class sums of v), taken with ``np.add.reduceat``,
-    and Q^T y = repeat(R^T y, K). The iterates stay flow-level vectors.
+    The problem is max sum_i wbar_i log x_i s.t. R x <= c (Chambolle & Pock,
+    JMIV 2011), with operator R: the dual step takes ``cp_prox_gstar`` of
+    y + sigma R v and the primal step ``cp_prox_f`` of x - tau R^T y with
+    the class weights wbar. The iterates are N-vectors, started at the class
+    sizes K_i (every flow at rate 1), and the flow rates are built once,
+    after the loop.
 
-    The primal step is capped at 0.95 / (sigma * ||Q||^2) when the supplied
-    (sigma, tau) pair violates the step-product convergence bound, where
-    ||Q||_2 = ||R diag(sqrt(K))||_2.
+    The primal step is capped at 0.95 / (sigma * ||R||_2^2) when the
+    supplied (sigma, tau) pair violates the step-product convergence bound.
     """
     t0 = time.perf_counter()
     if inst.paths_per_class != 1:
         raise NotSupportedUtility("single-path instances only")
     R, c, ws = _log_arrays(inst)
     wbar = np.asarray([w.sum() for w in ws])
-    sizes = np.asarray([len(w) for w in ws])
-    starts = np.concatenate([[0], np.cumsum(sizes)[:-1]])
-    w_flat = np.concatenate(ws)
-    norm_sq = np.linalg.norm(R * np.sqrt(sizes), 2) ** 2
-    tau = min(params.tau, 0.95 / (params.sigma * norm_sq))
+    tau = min(params.tau, 0.95 / (params.sigma * np.linalg.norm(R, 2) ** 2))
 
-    u = np.ones_like(w_flat)
-    v = u.copy()
+    x = np.asarray([float(len(w)) for w in ws])
+    v = x.copy()
     y = np.zeros(R.shape[0])
     converged = False
     it = 0
     for it in range(1, params.max_iter + 1):
-        y = cp_prox_gstar(y + params.sigma * (R @ np.add.reduceat(v, starts)), params.sigma, c)
-        u_new = cp_prox_f(u - tau * np.repeat(R.T @ y, sizes), tau, w_flat)
-        v = u_new + params.theta * (u_new - u)
-        u = u_new
+        y = cp_prox_gstar(y + params.sigma * (R @ v), params.sigma, c)
+        x_new = cp_prox_f(x - tau * (R.T @ y), tau, wbar)
+        v = x_new + params.theta * (x_new - x)
+        x = x_new
         if it % 10 == 0 or it == params.max_iter:
-            x = np.add.reduceat(u, starts)
             if aggregate_kkt_residual(R, c, wbar, x, y) <= params.tol:
                 converged = True
                 break
-    x = np.add.reduceat(u, starts)
-    u_cls = tuple(np.split(u, starts[1:]))
-    return Solution(
-        x=x,
-        u=u_cls,
-        lam=None,
-        rho=y,
-        objective=_log_objective(ws, u_cls),
-        l_max=float(np.max(R @ x)),
-        n_iter=it,
-        wall_time=time.perf_counter() - t0,
-        converged=converged,
-    )
+    return _apportioned(R, ws, wbar, x, y, it, converged, t0)
 
 
 # ---------------------------------------------------------------------------

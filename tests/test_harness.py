@@ -1,8 +1,10 @@
 """Tests for the reference oracle, experiment runner, report emission, and CLI."""
 
+import importlib.util
 import json
 import math
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -30,6 +32,7 @@ from numflow.netmodel import (
     save_instance,
     small_topology,
 )
+from numflow.multipath import gen_multipath_instance, solve_multipath
 from numflow.pwl import PwlConcave
 from numflow.rng import mix
 from numflow.solvers import SolverParams, solve_admm, solve_cp
@@ -379,6 +382,16 @@ class TestCli:
         sol.write_text(json.dumps(doc))
         assert cli_main(["verify", str(inst), str(sol), "--tol", "0.1"]) == 3
 
+    def test_verify_multipath_solution(self, tmp_path):
+        # unused paths carry positive path duals "mu", which verify must read
+        inst = gen_multipath_instance(small_topology(), 5, 1, paths_per_class=2)
+        sol = solve_multipath(inst, SolverParams(alpha=2.0))
+        assert np.max(sol.mu) > 0
+        inst_path, sol_path = tmp_path / "inst.json", tmp_path / "sol.json"
+        save_instance(inst, str(inst_path))
+        sol_path.write_text(json.dumps(sol.to_json()))
+        assert cli_main(["verify", str(inst_path), str(sol_path), "--tol", "1e-5"]) == 0
+
     def test_verify_prints_every_component(self, tmp_path, capsys):
         inst = self._gen(tmp_path)
         sol = tmp_path / "sol.json"
@@ -461,3 +474,15 @@ class TestCli:
         assert doc["offset"] == -6.0
         assert cli_main(["pwl", "eval", str(f), "--x", "1.0"]) == 0
         assert capsys.readouterr().out.strip() == "3"
+
+
+def test_bench_tracer_targets_resolve():
+    # the traced benchmark run patches these attributes; a missing one would
+    # break it, so renaming or deleting one must fail here first
+    path = Path(__file__).resolve().parents[1] / "bench" / "tracing.py"
+    spec = importlib.util.spec_from_file_location("bench_tracing", path)
+    tracing = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracing)
+    missing = [(mod, attr) for mod, attr, _, _ in tracing.TARGETS
+               if not hasattr(importlib.import_module(mod), attr)]
+    assert not missing

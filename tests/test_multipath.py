@@ -1,11 +1,12 @@
 """Tests for multipath aggregation and subflow allocation."""
 
+import json
+
 import numpy as np
 import pytest
 
 from numflow.errors import InconsistentTargets, InsufficientPaths
 from numflow.multipath import (
-    MultipathAllocation,
     allocate_subflows,
     gen_multipath_instance,
     k_paths,
@@ -23,7 +24,7 @@ from numflow.netmodel import (
     routing_matrix,
     small_topology,
 )
-from numflow.solvers import SolverParams, solve_gradproj
+from numflow.solvers import Solution, SolverParams, solve_gradproj
 from numflow.utility import WeightedLog, evaluate
 
 MP_PARAMS = SolverParams(alpha=2.0, tol=1e-6, max_iter=5000)
@@ -127,10 +128,11 @@ class TestAllocateSubflows:
 class TestKktCheckMultipath:
     def test_analytic_disjoint_links(self):
         inst = _parallel_pair()
-        alloc = MultipathAllocation(
+        alloc = Solution(
             x=np.asarray([[10.0, 10.0]]),
             u=(np.asarray([[10.0, 10.0]]),),
-            lam=np.asarray([0.05, 0.05]),
+            lam=None,
+            rho=np.asarray([0.05, 0.05]),
             mu=np.zeros((1, 2)),
             objective=float(np.log(20.0)),
             l_max=10.0,
@@ -143,10 +145,11 @@ class TestKktCheckMultipath:
 
     def test_perturbed_allocation_detected(self):
         inst = _parallel_pair()
-        alloc = MultipathAllocation(
+        alloc = Solution(
             x=np.asarray([[10.0, 10.0]]),
             u=(np.asarray([[10.1, 10.0]]),),
-            lam=np.asarray([0.05, 0.05]),
+            lam=None,
+            rho=np.asarray([0.05, 0.05]),
             mu=np.zeros((1, 2)),
             objective=0.0,
             l_max=10.1,
@@ -160,10 +163,11 @@ class TestKktCheckMultipath:
 
     def test_all_zeros_not_stationary(self):
         inst = _parallel_pair()
-        alloc = MultipathAllocation(
+        alloc = Solution(
             x=np.zeros((1, 2)),
             u=(np.zeros((1, 2)),),
-            lam=np.zeros(2),
+            lam=None,
+            rho=np.zeros(2),
             mu=np.zeros((1, 2)),
             objective=0.0,
             l_max=0.0,
@@ -195,6 +199,20 @@ class TestEndToEnd:
                 assert np.max(np.abs(alloc.u[i].sum(axis=0) - alloc.x[i])) <= 1e-9 * x_bar[i]
                 assert np.all(alloc.u[i] >= 0)
             assert kkt_check_multipath(inst, alloc, tol=1e-5).passed
+
+    def test_json_round_trip_keeps_path_shapes(self):
+        inst = gen_multipath_instance(small_topology(), 2, 1, paths_per_class=2)
+        alloc = solve_multipath(inst, MP_PARAMS)
+        doc = json.loads(json.dumps(alloc.to_json()))
+        assert np.asarray(doc["x"]).shape == (2, 2)
+        assert [np.asarray(ui).shape for ui in doc["u"]] == [
+            (len(cls.flows), 2) for cls in inst.classes
+        ]
+        assert np.asarray(doc["mu"]).shape == (2, 2)
+        assert doc["lambda"] is None
+        for key, want in (("x", alloc.x), ("rho", alloc.rho), ("mu", alloc.mu)):
+            assert np.array_equal(doc[key], want)
+        assert all(np.array_equal(got, want) for got, want in zip(doc["u"], alloc.u))
 
     def test_objective_invariant_under_resplit(self):
         inst = gen_multipath_instance(small_topology(), 2, 4, paths_per_class=2)

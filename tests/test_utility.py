@@ -235,8 +235,8 @@ def _kkt_cases():
     alloc = solve_multipath(inst, SolverParams(alpha=2.0))
     assert np.max(alloc.mu) > 0  # some path is unused, so flow slackness is tested
     cases += [
-        ("multipath-5", (inst, alloc.x, alloc.u, alloc.lam, alloc.mu)),
-        ("multipath-5/shifted", (inst, alloc.x, [ui + 0.01 for ui in alloc.u], alloc.lam, alloc.mu)),
+        ("multipath-5", (inst, alloc.x, alloc.u, alloc.rho, alloc.mu)),
+        ("multipath-5/shifted", (inst, alloc.x, [ui + 0.01 for ui in alloc.u], alloc.rho, alloc.mu)),
     ]
     base = gen_instance(small, 6, seed=2)
     classes = tuple(
