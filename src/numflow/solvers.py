@@ -13,8 +13,12 @@ Three solvers share the aggregate-flow structure:
 * ``solve_gradproj``: projected gradient ascent with Armijo backtracking
   on the N-variable aggregate problem. Its loop is the J = 1 case of the
   per-path loop that ``solve_multipath_aggregate`` runs on N*J variables.
-  Each projection onto the routing polytope is one least-distance
-  problem, solved as NNLS by ``scipy.optimize.nnls``.
+  The loop builds one projector onto the routing polytope per solve. Each
+  projection first solves on the face (binding links, zero coordinates)
+  of the previous one, a product with a prefactored face matrix, and
+  keeps that result when the projection's KKT conditions hold; otherwise
+  it solves the least-distance problem cold, as NNLS by
+  ``scipy.optimize.nnls``, and takes the next face from its multipliers.
 
 CP and gradproj apportion the aggregate rates to flows once, after the
 loop: u_k = (w_k / wbar_i) x_i.
@@ -36,7 +40,7 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
-from .errors import DimensionMismatch, MaxIterExceeded, NotSupportedUtility
+from .errors import DimensionMismatch, DomainError, MaxIterExceeded, NotSupportedUtility
 from .netmodel import Instance, RoutingMatrix
 from .pwl import pwl_apportion, pwl_eval
 from .utility import PwlUtility, WeightedLog, aggregate_kkt_residual
@@ -247,6 +251,11 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
 # Euclidean projection onto the routing polytope
 
 
+def _feasibility_bound(h: np.ndarray) -> float:
+    """Largest violation of G x <= h that a projection may leave."""
+    return 1e-12 * (1.0 + float(np.max(h)))
+
+
 def _project_qp(z: np.ndarray, G: np.ndarray, h: np.ndarray, max_changes: int):
     """min 0.5*||x - z||^2 s.t. G x <= h, as a least-distance problem.
 
@@ -259,6 +268,10 @@ def _project_qp(z: np.ndarray, G: np.ndarray, h: np.ndarray, max_changes: int):
     huge. x = z + y loses about eps*||z|| to cancellation, which leaves
     the projection of a far-off z (a diverging iteration) visibly
     infeasible; that x is projected once more and the multipliers add up.
+
+    This is the cold solve: it starts from no active rows. The
+    projected-gradient loop calls it through ``_PolytopeProjector`` only
+    when the face of its previous projection does not hold.
 
     Requires x = 0 feasible (h >= 0). Returns (x, nu) with nu the
     multipliers of all rows. ``max_changes`` caps each NNLS solve.
@@ -280,16 +293,95 @@ def _project_qp(z: np.ndarray, G: np.ndarray, h: np.ndarray, max_changes: int):
             # residual vanishes, i.e. when the constraints look infeasible
             raise MaxIterExceeded("projection NNLS residual degenerated")
         x, nu = x - s * r[:-1] / r[-1], nu + s * u / -r[-1]
-        if np.max(G @ x - h) <= 1e-12 * (1.0 + float(np.max(h))):
+        if np.max(G @ x - h) <= _feasibility_bound(h):
             break
     return x, nu
 
 
 def _polytope_constraints(R: np.ndarray, c: np.ndarray):
+    """G = [R; -I] and h = [c; 0]; raises DomainError unless 0 <= c < inf."""
+    if not np.all(np.isfinite(c) & (c >= 0.0)):
+        raise DomainError("capacities must be finite and nonnegative")
     n = R.shape[1]
     G = np.vstack([R, -np.eye(n)])
     h = np.concatenate([c, np.zeros(n)])
     return G, h
+
+
+class _PolytopeProjector:
+    """Projections onto {x : R x <= c, x >= 0} for the iterations of one solve.
+
+    G, h and the NNLS cap are built once. Each call first solves on the
+    face of the previous projection: with B its binding link rows, Z its
+    zero coordinates, F the free ones and M = R[B, F],
+
+        nu_B = (M M^T)^{-1} (M z_F - c_B),  x_F = z_F - M^T nu_B,  x_Z = 0,
+        mu_Z = R[B, Z]^T nu_B - z_Z,
+
+    with (M M^T)^{-1} M and (M M^T)^{-1} c_B formed once per face from a
+    Cholesky factor of M M^T. When nu_B >= 0, mu_Z >= 0 and x >= 0 hold exactly and R x <= c holds
+    to ``_feasibility_bound``, these satisfy the projection's KKT
+    conditions, so x is the projection and the pair is returned.
+    Otherwise the call runs ``_project_qp`` and reads the next face off the
+    multipliers it returns. A face whose M M^T is singular (dependent
+    rows, so its multipliers are not unique) is not kept, and the next
+    call goes to ``_project_qp`` again. Returns (x, nu) as
+    ``project_polytope_with_duals`` does.
+    """
+
+    def __init__(self, R: np.ndarray, c: np.ndarray):
+        self._R, self._c = R, c
+        self._G, self._h = _polytope_constraints(R, c)
+        self._max_changes = 10 * sum(R.shape)
+        self._bound = _feasibility_bound(self._h)
+        self._face = None
+
+    def __call__(self, z: np.ndarray):
+        if self._face is not None:
+            projected = self._on_face(z)
+            if projected is not None:
+                return projected
+        x, nu = _project_qp(z, self._G, self._h, self._max_changes)
+        self._face = self._factor_face(nu)
+        return x, nu
+
+    def _on_face(self, z: np.ndarray):
+        B, Z, F, K, q, MT, NT = self._face
+        z_F = z[F]
+        nu_B = K @ z_F - q
+        x = np.zeros(len(z))
+        x[F] = z_F - MT @ nu_B
+        mu_Z = NT @ nu_B - z[Z]
+        # minimum and maximum propagate NaN, which fails both tests
+        if not (np.minimum.reduce(np.concatenate((nu_B, mu_Z, x))) >= 0.0
+                and np.maximum.reduce(self._R @ x - self._c) <= self._bound):
+            return None
+        nu = np.zeros(len(self._h))
+        nu[B] = nu_B
+        nu[len(self._c) + Z] = mu_Z
+        return x, nu
+
+    def _factor_face(self, nu: np.ndarray):
+        L = len(self._c)
+        B = np.flatnonzero(nu[:L] > 0.0)
+        at_zero = nu[L:] > 0.0
+        Z, F = np.flatnonzero(at_zero), np.flatnonzero(~at_zero)
+        M = self._R[np.ix_(B, F)]
+        if len(B):
+            gram = M @ M.T
+            try:
+                cho = scipy.linalg.cho_factor(gram)
+            except np.linalg.LinAlgError:
+                return None
+            # round-off can leave a tiny positive pivot where rows are dependent
+            if np.min(np.diag(cho[0])) ** 2 <= 1e-10 * np.max(np.diag(gram)):
+                return None
+            K = scipy.linalg.cho_solve(cho, M)
+            q = scipy.linalg.cho_solve(cho, self._c[B])
+        else:
+            K, q = np.zeros((0, len(F))), np.zeros(0)
+        NT = np.ascontiguousarray(self._R[np.ix_(B, Z)].T)
+        return B, Z, F, K, q, np.ascontiguousarray(M.T), NT
 
 
 def project_polytope(x, R: RoutingMatrix | np.ndarray, c) -> np.ndarray:
@@ -299,15 +391,21 @@ def project_polytope(x, R: RoutingMatrix | np.ndarray, c) -> np.ndarray:
 
 
 def project_polytope_with_duals(x, R: RoutingMatrix | np.ndarray, c):
-    """Projection plus multipliers (link rows first, nonnegativity rows after)."""
+    """Projection plus multipliers (link rows first, nonnegativity rows after).
+
+    One cold ``_project_qp`` solve; no state is kept between calls. Raises
+    DomainError when a capacity is negative or not finite (x = 0 must be
+    feasible) or when x is not finite.
+    """
     dense = R.dense() if isinstance(R, RoutingMatrix) else np.asarray(R, dtype=float)
     c = np.asarray(c, dtype=float)
     z = np.asarray(x, dtype=float)
     if dense.shape[0] != c.shape[0] or dense.shape[1] != z.shape[0]:
         raise DimensionMismatch("projection dimensions inconsistent")
+    if not np.all(np.isfinite(z)):
+        raise DomainError("the point to project must be finite")
     G, h = _polytope_constraints(dense, c)
-    max_changes = 10 * (dense.shape[0] + dense.shape[1])
-    return _project_qp(z, G, h, max_changes)
+    return _project_qp(z, G, h, 10 * sum(dense.shape))
 
 
 # Halvings of params.alpha that one projected-gradient step may take
@@ -323,7 +421,8 @@ def _gradproj_loop(R: np.ndarray, c: np.ndarray, wbar: np.ndarray, J: int, param
     condition along the projection arc, f(x+) >= f(x) + 1e-4 grad.(x+ - x)
     with f = sum_i wbar_i log xbar_i (Bertsekas, Nonlinear Programming,
     sec. 2.3); the duals are the projection's multipliers over the accepted
-    step. Raises MaxIterExceeded when no step within ``_MAX_HALVINGS``
+    step. Every trial point is projected by one ``_PolytopeProjector``,
+    built for this solve. Raises MaxIterExceeded when no step within ``_MAX_HALVINGS``
     halvings is accepted. Returns (x, lam, mu, n_iter, converged) with x
     and mu flat, class by class.
     """
@@ -334,13 +433,14 @@ def _gradproj_loop(R: np.ndarray, c: np.ndarray, wbar: np.ndarray, J: int, param
     x_bar = np.maximum(x.sum(axis=1), 1e-12)
     lam = np.zeros(L)
     mu = np.zeros(n * J)
+    project = _PolytopeProjector(R, c)
     converged = False
     it = 0
     for it in range(1, params.max_iter + 1):
         grad = (wbar / x_bar)[:, None]
         step = params.alpha
         for _ in range(_MAX_HALVINGS + 1):
-            x_new, nu = project_polytope_with_duals((x + step * grad).ravel(), R, c)
+            x_new, nu = project((x + step * grad).ravel())
             x_new = np.maximum(x_new, 0.0).reshape(n, J)  # clear projection round-off
             bar_new = np.maximum(x_new.sum(axis=1), 1e-12)
             # f(x+) - f(x) and grad.(x+ - x) are sums over classes of

@@ -188,21 +188,26 @@ def aggregate_kkt_residual(R, c, wbar, x, lam, mu=None) -> float:
 
     ``x`` holds the N*J per-path aggregates class by class, so J is
     ``len(x) // len(wbar)``; the single-path problem is J = 1. ``mu`` holds
-    the path-nonnegativity duals and defaults to zero.
+    the path-nonnegativity duals; None means zero and skips their terms.
+    A NaN in any term makes the residual NaN.
     """
     J = len(x) // len(wbar)
-    if mu is None:
-        mu = np.zeros_like(x)
-    load = R @ x
-    feas = np.max((load - c) / np.maximum(c, 1.0), initial=0.0)
-    slack = np.max(np.abs(lam * (load - c)) / np.maximum(c, 1.0), initial=0.0)
-    dual = max(np.max(-lam, initial=0.0), np.max(-mu, initial=0.0))
-    comp_mu = np.max(np.abs(mu * x), initial=0.0)
-    price = R.T @ lam - mu
-    x_bar = x.reshape(-1, J).sum(axis=1)
-    grad = np.repeat(wbar / np.maximum(x_bar, 1e-300), J)
-    stat = np.max(np.abs(grad - price) / np.maximum(grad, 1e-12))
-    return float(max(feas, slack, dual, comp_mu, stat))
+    excess = R @ x - c
+    cap = np.maximum(c, 1.0)
+    price = R.T @ lam
+    if mu is not None:
+        price = price - mu
+    if J == 1:
+        grad = wbar / np.maximum(x, 1e-300)
+    else:
+        grad = np.repeat(wbar / np.maximum(x.reshape(-1, J).sum(axis=1), 1e-300), J)
+    # feasibility, slackness, dual sign and stationarity (then the path
+    # duals' sign and slackness), reduced together: a maximum is exact
+    parts = [excess / cap, np.abs(lam * excess) / cap, -lam,
+             np.abs(grad - price) / np.maximum(grad, 1e-12)]
+    if mu is not None:
+        parts += [-mu, np.abs(mu * x)]
+    return float(np.maximum.reduce(np.concatenate(parts), initial=0.0))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,6 @@
 """Tests for the iterative solvers and their numerical kernels."""
 
+import functools
 import math
 from dataclasses import replace
 
@@ -8,7 +9,7 @@ import pytest
 import scipy.linalg
 
 from numflow import solvers
-from numflow.errors import MaxIterExceeded, NotSupportedUtility
+from numflow.errors import DomainError, MaxIterExceeded, NotSupportedUtility
 from numflow.harness import oracle_solve
 from numflow.netmodel import (
     FlowClass,
@@ -31,6 +32,7 @@ from numflow.rng import MixRng, mix
 from numflow.solvers import (
     SolverParams,
     _log_arrays,
+    _PolytopeProjector,
     _polytope_constraints,
     _project_qp,
     admm_u_update,
@@ -392,9 +394,10 @@ class TestSharedGradprojLoop:
     reproduces both of the fixed-step loops it replaced wherever their
     step passes the Armijo test."""
 
-    @pytest.mark.parametrize("n, max_iter", [(3, 20000), (10, 500)])
+    @pytest.mark.parametrize("n, max_iter", [(3, 20000), (10, 500), (30, 500)])
     def test_single_path(self, n, max_iter):
-        # N=10 is cut at max_iter to bound the test's time
+        # N=10 and N=30 are cut at max_iter to bound the test's time; at
+        # N=30 every link binds, so most projections are face solves
         inst = gen_instance(small_topology(), n, seed=1)
         params = SolverParams(max_iter=max_iter)
         sol = solve_gradproj(inst, params)
@@ -420,10 +423,43 @@ class TestSharedGradprojLoop:
         # a projection that always lands at 0 never increases the objective
         inst = gen_instance(small_topology(), 3, seed=1)
         L = inst.routing.dense().shape[0]
-        monkeypatch.setattr(solvers, "project_polytope_with_duals",
-                            lambda z, R, c: (np.zeros_like(z), np.zeros(L + len(z))))
+        monkeypatch.setattr(solvers, "_PolytopeProjector",
+                            lambda R, c: lambda z: (np.zeros_like(z), np.zeros(L + len(z))))
         with pytest.raises(MaxIterExceeded, match="halvings"):
             solve_gradproj(inst, SolverParams())
+
+    def test_repeated_solves_are_bit_identical(self):
+        # the projector's face lives for one solve only
+        inst = gen_instance(small_topology(), 10, seed=1)
+        params = SolverParams(max_iter=300)
+        a, b = solve_gradproj(inst, params), solve_gradproj(inst, params)
+        assert a.x.tobytes() == b.x.tobytes() and a.n_iter == b.n_iter
+        inst = gen_multipath_instance(small_topology(), 5, 1, paths_per_class=2)
+        params = SolverParams(alpha=2.0, tol=1e-6)
+        a, b = solve_multipath(inst, params), solve_multipath(inst, params)
+        assert a.x.tobytes() == b.x.tobytes() and a.n_iter == b.n_iter
+
+
+class TestAggregateKktResidual:
+    @pytest.mark.parametrize("J", [1, 2])
+    def test_bit_identical_to_references(self, J):
+        inst = gen_instance(small_topology(), 30, seed=1)
+        R, c = inst.routing.dense(), inst.network.capacities
+        rng = np.random.default_rng(5)
+        n = R.shape[1] // J
+        for _ in range(50):
+            wbar = 10.0 * rng.random(n)
+            # some zero rates, and duals of both signs
+            x = 5.0 * rng.random(R.shape[1]) * (rng.random(R.shape[1]) > 0.2)
+            lam = rng.standard_normal(R.shape[0]) * (rng.random(R.shape[0]) > 0.3)
+            mu = rng.standard_normal(R.shape[1]) * (rng.random(R.shape[1]) > 0.5)
+            refs = [(mu, _reference_multipath_residual(R, c, wbar, x, lam, mu, J)),
+                    (None, _reference_multipath_residual(R, c, wbar, x, lam, np.zeros_like(x), J))]
+            if J == 1:
+                refs.append((None, _reference_aggregate_residual(R, c, wbar, x, lam)))
+            for m, ref in refs:
+                got = aggregate_kkt_residual(R, c, wbar, x, lam, m)
+                assert np.float64(got).tobytes() == np.float64(ref).tobytes()
 
 
 class TestProjectPolytope:
@@ -446,6 +482,17 @@ class TestProjectPolytope:
         R = np.asarray([[1.0, 1.0]])
         out = project_polytope(np.asarray([-3.0, 5.0]), R, np.asarray([10.0]))
         assert out == pytest.approx([0.0, 5.0])
+
+    @pytest.mark.parametrize("c", [[-1.0], [np.inf], [np.nan]])
+    def test_rejects_bad_capacities(self, c):
+        # with c = -1 the NNLS reduction used to return an infeasible x
+        with pytest.raises(DomainError):
+            project_polytope_with_duals(np.asarray([20.0, 33.0]), np.asarray([[1.0, 1.0]]), c)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_point(self, bad):
+        with pytest.raises(DomainError):
+            project_polytope_with_duals(np.asarray([bad, 1.0]), np.asarray([[1.0, 1.0]]), [10.0])
 
     def test_non_expansive(self):
         rng = MixRng(67)
@@ -562,6 +609,131 @@ class TestProjectQp:
         z = 1e3 * (np.random.default_rng(17).standard_normal(G.shape[1]) + 0.5)
         with pytest.raises(MaxIterExceeded):
             _project_qp(z, G, h, 1)
+
+
+def _iterate_points(inst, alpha, count):
+    """The points that fixed-step projected gradient projects, from cold solves."""
+    R, c, ws = _log_arrays(inst)
+    wbar = np.asarray([w.sum() for w in ws])
+    n, J = len(ws), inst.paths_per_class
+    G, h = _polytope_constraints(R, c)
+    x = np.full(n * J, 0.5 * float(np.min(c / np.maximum(R.sum(axis=1), 1.0))))
+    zs = []
+    for _ in range(count):
+        x_bar = x.reshape(n, J).sum(axis=1)
+        zs.append(x + alpha * np.repeat(wbar / np.maximum(x_bar, 1e-12), J))
+        x, _ = _project_qp(zs[-1], G, h, 10 * sum(R.shape))
+        x = np.maximum(x, 0.0)
+    return R, c, zs
+
+
+def _assert_projects_like_cold_solve(R, c, z, x, nu):
+    G, h = _polytope_constraints(R, c)
+    ref, _ = _project_qp(z, G, h, 10 * sum(R.shape))
+    assert float(np.max(np.abs(x - ref))) <= 1e-12 * (1.0 + float(np.max(np.abs(z))))
+    assert _scaled_kkt_residual(z, G, h, x, nu) <= 1e-12
+
+
+@functools.lru_cache(maxsize=1)
+def _small_n30_points():
+    # every link binds from iterate 669 on
+    return _iterate_points(gen_instance(small_topology(), 30, seed=1), 1e-2, 800)
+
+
+class TestPolytopeProjector:
+    """The warm projector against the cold NNLS solve, point by point."""
+
+    @staticmethod
+    def _count_cold_solves(monkeypatch):
+        calls = []
+
+        def counted(*args):
+            calls.append(1)
+            return _project_qp(*args)
+
+        monkeypatch.setattr(solvers, "_project_qp", counted)
+        return calls
+
+    def test_single_path_all_links_active(self, monkeypatch):
+        R, c, zs = _small_n30_points()
+        cold = self._count_cold_solves(monkeypatch)
+        project = _PolytopeProjector(R, c)
+        for z in zs:
+            x, nu = project(z)
+            _assert_projects_like_cold_solve(R, c, z, x, nu)
+        assert np.all(nu[: R.shape[0]] > 0.0)
+        assert len(cold) < len(zs) // 10
+
+    def test_multipath_zero_paths_active(self, monkeypatch):
+        inst = gen_multipath_instance(small_topology(), 5, 1, paths_per_class=2)
+        R, c, zs = _iterate_points(inst, 2.0, 64)
+        cold = self._count_cold_solves(monkeypatch)
+        project = _PolytopeProjector(R, c)
+        for z in zs:
+            x, nu = project(z)
+            _assert_projects_like_cold_solve(R, c, z, x, nu)
+        assert np.any(nu[R.shape[0]:] > 0.0)
+        assert len(cold) < len(zs)
+
+    def test_link_leaving_the_face_falls_back(self, monkeypatch):
+        R, c, zs = _small_n30_points()
+        project = _PolytopeProjector(R, c)
+        x, nu = project(zs[-1])
+        assert np.all(nu[: R.shape[0]] > 0.0)
+        cold = self._count_cold_solves(monkeypatch)
+        # pulling back every flow on link 0 leaves that link slack
+        z = x - 2.0 * R[0]
+        x, nu = project(z)
+        _assert_projects_like_cold_solve(R, c, z, x, nu)
+        assert len(cold) == 1 and nu[0] == 0.0
+        x, nu = project(z)
+        assert len(cold) == 1
+        _assert_projects_like_cold_solve(R, c, z, x, nu)
+
+    def test_zero_path_leaving_the_face_falls_back(self, monkeypatch):
+        inst = gen_multipath_instance(small_topology(), 5, 1, paths_per_class=2)
+        R, c, zs = _iterate_points(inst, 2.0, 64)
+        project = _PolytopeProjector(R, c)
+        x, nu = project(zs[-1])
+        j = int(np.flatnonzero(nu[R.shape[0]:] > 0.0)[0])
+        cold = self._count_cold_solves(monkeypatch)
+        # pushing a zero path far up makes its rate positive
+        z = zs[-1].copy()
+        z[j] += 10.0
+        x, nu = project(z)
+        _assert_projects_like_cold_solve(R, c, z, x, nu)
+        assert len(cold) == 1 and x[j] > 0.0
+
+    # an extra link row that copies row 0, or adds rows 2 and 3; with the
+    # sum, Cholesky of the face's M M^T ends on a round-off pivot, not a failure
+    @pytest.mark.parametrize("rows", [[0], [2, 3]])
+    def test_dependent_face_rows(self, monkeypatch, rows):
+        R0, c0, zs = _small_n30_points()
+        R, c = np.vstack([R0, R0[rows].sum(axis=0)]), np.append(c0, c0[rows].sum())
+        project = _PolytopeProjector(R, c)
+        for z in zs:
+            x, nu = project(z)
+            _assert_projects_like_cold_solve(R, c, z, x, nu)
+        # the face of every link row
+        nu = np.concatenate([np.ones(R.shape[0]), np.zeros(R.shape[1])])
+        project._face = project._factor_face(nu)
+        assert project._face is None
+        cold = self._count_cold_solves(monkeypatch)
+        x, nu = project(zs[-1])
+        assert len(cold) == 1
+        _assert_projects_like_cold_solve(R, c, zs[-1], x, nu)
+
+    def test_far_point(self):
+        G, h, _ = _projection_constraints("multipath")
+        L = G.shape[0] - G.shape[1]
+        R, c = G[:L], h[:L]
+        project = _PolytopeProjector(R, c)
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            z = 1e13 * rng.standard_normal(G.shape[1])
+            x, nu = project(z)
+            assert float(np.max(G @ x - h)) <= 1e-12 * (1.0 + float(np.max(h)))
+            _assert_projects_like_cold_solve(R, c, z, x, nu)
 
 
 class TestSolveGradproj:
