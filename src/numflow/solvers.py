@@ -3,10 +3,12 @@
 Three solvers share the aggregate-flow structure:
 
 * ``solve_admm``: consensus splitting with a box projection for link
-  loads and a prefactored SPD solve for the aggregate rates. Every flow
-  update of a class is ``u_k = w_k t_i`` for one class scalar ``t_i``, so
-  an iteration works on N-vectors only; flow rates are built once, after
-  the loop.
+  loads and, for the aggregate rates, a solve with I + R^T R taken by the
+  push-through identity: one product with R, one with the prefactored
+  L x L inverse of I + R R^T and one with R^T, which also yields R x.
+  Every flow update of a class is ``u_k = w_k t_i`` for one class scalar
+  ``t_i``, so an iteration works on N-vectors only; flow rates are built
+  once, after the loop.
 * ``solve_cp``: Chambolle-Pock primal-dual iteration with componentwise
   proximal maps on the N-variable aggregate problem; its operator is the
   routing matrix R itself.
@@ -111,27 +113,33 @@ class Solution:
 
 
 class SpdFactor:
-    """Solver for A x = b with A = I + R^T R, reusable across iterations.
+    """Solver for (I + R^T R) x = a + R^T v, reusable across iterations.
 
-    A wide R (fewer rows than columns) factors the smaller Gram matrix
-    I + R R^T and solves by the Woodbury identity
-    x = b - R^T (I + R R^T)^{-1} R b; otherwise I + R^T R is factored.
-    Both Gram matrices have eigenvalues >= 1, so either form is well
-    conditioned.
+    The L x L inverse C^{-1} of C = I + R R^T is formed once, from a
+    Cholesky factor; C has eigenvalues >= 1, so it is well conditioned
+    for any shape of R. By the push-through identity
+    (I + R^T R)^{-1} R^T = R^T C^{-1},
+
+        w = C^{-1} (v - R a),  x = a + R^T w,  R x = v - w,
+
+    so a solve is one product with R, one with C^{-1} and one with R^T.
     """
 
     def __init__(self, R: np.ndarray):
-        L, n = R.shape
-        self._wide = L < n
+        L = R.shape[0]
         self._R = R
-        gram = R @ R.T if self._wide else R.T @ R
-        self._cho = scipy.linalg.cho_factor(np.eye(min(L, n)) + gram)
+        cho = scipy.linalg.cho_factor(np.eye(L) + R @ R.T)
+        self._c_inv = scipy.linalg.cho_solve(cho, np.eye(L))
+
+    def solve_split(self, a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """x solving (I + R^T R) x = a + R^T v, and R x."""
+        R = self._R
+        w = self._c_inv @ (v - R @ a)
+        return a + R.T @ w, v - w
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        if self._wide:
-            R = self._R
-            return b - R.T @ scipy.linalg.cho_solve(self._cho, R @ b)
-        return scipy.linalg.cho_solve(self._cho, b)
+        """x solving (I + R^T R) x = b: the v = 0 case of ``solve_split``."""
+        return self.solve_split(b, np.zeros(self._R.shape[0]))[0]
 
 
 def spd_prefactor(R: RoutingMatrix | np.ndarray) -> SpdFactor:
@@ -175,9 +183,13 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
     t_i = 2 / (psi_i + sqrt(psi_i^2 + 4 r wbar_i)). The class sum is then
     wbar_i t_i, and the class's share of the log objective is
     sum_k w_k log w_k + wbar_i log t_i, whose first term is a constant.
-    The loop carries t and builds the flow rates once, after it stops.
-    One product R x per iteration serves the y-step, the rho-step and the
-    augmented Lagrangian.
+    The loop carries t and builds the flow rates once, after it stops; the
+    reported objective is the same closed form at the last t. The x-step
+    (I + R^T R) x = s + lam/r + R^T (y + rho/r) is ``SpdFactor.solve_split``,
+    which returns R x with x: one product with R, one with the prefactored
+    L x L inverse and one with R^T per iteration. The residuals s - x and
+    y - R x, computed once, serve the multiplier updates and the augmented
+    Lagrangian.
 
     Stops when the augmented Lagrangian changes by less than ``params.pct``
     percent (relative change below pct/100) on three consecutive
@@ -191,36 +203,35 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
     n = len(ws)
     r = params.r
     wbar = np.asarray([w.sum() for w in ws])
-    w_log_w = float(sum(np.sum(w * np.log(w)) for w in ws))
+    four_r_wbar = 4.0 * r * wbar
+    w_all = np.concatenate(ws)
+    w_log_w = float(w_all @ np.log(w_all))
     factor = spd_prefactor(inst.routing)
 
-    # start from u = 1 for every flow: class sums K_i, log objective 0
+    # start from u = 1 for every flow: class sums K_i, log objective 0, so
+    # s = x, R x = y and zero multipliers put the Lagrangian at exactly 0
     s = np.asarray([float(len(w)) for w in ws])
     x = s.copy()
     Rx = R @ x
-    y = Rx
     lam = np.zeros(n)
     rho = np.zeros(R.shape[0])
-
-    def lagrangian(objective: float) -> float:
-        penalty = 0.5 * r * (np.dot(x - s, x - s) + np.dot(Rx - y, Rx - y))
-        return -objective + float(lam @ (s - x)) + float(rho @ (y - Rx)) + penalty
-
-    prev = lagrangian(0.0)
+    prev = 0.0
     threshold = params.pct / 100.0
     converged = False
     flat_streak = 0
     it = 0
     for it in range(1, params.max_iter + 1):
         psi = lam - r * x
-        t = 2.0 / (psi + np.sqrt(psi * psi + 4.0 * r * wbar))
+        t = 2.0 / (psi + np.sqrt(psi * psi + four_r_wbar))
         s = wbar * t
         y = np.minimum(Rx - rho / r, c)
-        x = factor.solve(s + lam / r + R.T @ (y + rho / r))
-        Rx = R @ x
-        lam = lam + r * (s - x)
-        rho = rho + r * (y - Rx)
-        cur = lagrangian(w_log_w + float(wbar @ np.log(t)))
+        x, Rx = factor.solve_split(s + lam / r, y + rho / r)
+        ds, dy = s - x, y - Rx
+        lam = lam + r * ds
+        rho = rho + r * dy
+        objective = w_log_w + float(wbar @ np.log(t))
+        cur = (-objective + float(lam @ ds) + float(rho @ dy)
+               + 0.5 * r * (np.dot(ds, ds) + np.dot(dy, dy)))
         if abs(cur - prev) < threshold * max(abs(prev), 1e-12):
             flat_streak += 1
             if flat_streak >= 3:
@@ -239,7 +250,7 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
         u=u,
         lam=lam,
         rho=-rho,
-        objective=_log_objective(ws, u),
+        objective=objective,
         l_max=float(np.max(Rx)),
         n_iter=it,
         wall_time=time.perf_counter() - t0,
@@ -417,14 +428,15 @@ def _gradproj_loop(R: np.ndarray, c: np.ndarray, wbar: np.ndarray, J: int, param
 
     Class i's utility is wbar_i log(sum_j x_ij), so every path of a class
     gets the gradient of its class total. Each step tries ``params.alpha``
-    first and halves it until the projected point satisfies the Armijo
-    condition along the projection arc, f(x+) >= f(x) + 1e-4 grad.(x+ - x)
-    with f = sum_i wbar_i log xbar_i (Bertsekas, Nonlinear Programming,
-    sec. 2.3); the duals are the projection's multipliers over the accepted
-    step. Every trial point is projected by one ``_PolytopeProjector``,
-    built for this solve. Raises MaxIterExceeded when no step within ``_MAX_HALVINGS``
-    halvings is accepted. Returns (x, lam, mu, n_iter, converged) with x
-    and mu flat, class by class.
+    first and halves it until the projected point keeps every class total
+    positive and satisfies the Armijo condition along the projection arc,
+    f(x+) >= f(x) + 1e-4 grad.(x+ - x) with f = sum_i wbar_i log xbar_i
+    (Bertsekas, Nonlinear Programming, sec. 2.3); the duals are the
+    projection's multipliers over the accepted step. Every trial point is
+    projected by one ``_PolytopeProjector``, built for this solve. Raises
+    MaxIterExceeded when no step within ``_MAX_HALVINGS`` halvings is
+    accepted. Returns (x, lam, mu, n_iter, converged) with x and mu flat,
+    class by class.
     """
     n = len(wbar)
     L = R.shape[0]
@@ -442,12 +454,14 @@ def _gradproj_loop(R: np.ndarray, c: np.ndarray, wbar: np.ndarray, J: int, param
         for _ in range(_MAX_HALVINGS + 1):
             x_new, nu = project((x + step * grad).ravel())
             x_new = np.maximum(x_new, 0.0).reshape(n, J)  # clear projection round-off
-            bar_new = np.maximum(x_new.sum(axis=1), 1e-12)
+            bar_new = x_new.sum(axis=1)
+            # a class total of 0 has f = -inf: reject it before taking its log.
             # f(x+) - f(x) and grad.(x+ - x) are sums over classes of
             # wbar_i log1p(r_i) and wbar_i r_i; log1p stays accurate for tiny steps
-            ratio = (bar_new - x_bar) / x_bar
-            if wbar @ np.log1p(ratio) >= 1e-4 * (wbar @ ratio):
-                break
+            if np.min(bar_new) > 0.0:
+                ratio = (bar_new - x_bar) / x_bar
+                if wbar @ np.log1p(ratio) >= 1e-4 * (wbar @ ratio):
+                    break
             step *= 0.5
         else:
             raise MaxIterExceeded(f"no ascent step after {_MAX_HALVINGS} halvings of alpha")

@@ -102,7 +102,7 @@ class TestSpdPrefactor:
             assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
 
     def test_wide_routing_residual(self):
-        # fewer links than columns: solved through the smaller L x L system
+        # fewer links than columns: I + R R^T is the smaller matrix
         rng = np.random.default_rng(2)
         for L, n in ((3, 8), (14, 30), (1, 5)):
             R = (rng.random((L, n)) < 0.5).astype(float)
@@ -112,6 +112,30 @@ class TestSpdPrefactor:
                 b = rng.standard_normal(n)
                 x = factor.solve(b)
                 assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("routing", ["iridium-75", "iridium-750", "square", "one-row"])
+    def test_split_solve(self, routing):
+        # iridium N=75 is 192 x 75; N=750 is 192 x 750 of rank 180
+        rng = np.random.default_rng(3)
+        if routing.startswith("iridium"):
+            n = int(routing.split("-")[1])
+            R = gen_instance(
+                iridium_topology(), n, seed=1, endpoint_rule="gateway-constrained"
+            ).routing.dense()
+        elif routing == "square":
+            R = (rng.random((9, 9)) < 0.4).astype(float)
+        else:
+            R = np.asarray([[1.0, 0.0, 1.0, 1.0]])
+        A = np.eye(R.shape[1]) + R.T @ R
+        factor = spd_prefactor(R)
+        for scale in (1.0, 1e3):
+            a = scale * rng.standard_normal(R.shape[1])
+            v = scale * rng.standard_normal(R.shape[0])
+            b = a + R.T @ v
+            x, Rx = factor.solve_split(a, v)
+            assert np.linalg.norm(A @ x - b) <= 1e-10 * np.linalg.norm(b)
+            want = R @ x
+            assert np.max(np.abs(Rx - want)) <= 1e-10 * (1.0 + np.max(np.abs(want)))
 
 
 class TestAdmmUUpdate:
@@ -290,6 +314,24 @@ class TestAggregateSpaceIterates:
         sol = solve_admm(inst, params)
         assert not sol.converged
         _assert_same_iterates(sol, _reference_admm(inst, params))
+
+    def test_admm_iridium_750_at_max_iter(self):
+        # 192 links, 750 classes: R is wide and of rank 180
+        inst = gen_instance(iridium_topology(), 750, seed=1, endpoint_rule="gateway-constrained")
+        params = SolverParams(r=40.0, max_iter=20)
+        sol = solve_admm(inst, params)
+        assert not sol.converged
+        _assert_same_iterates(sol, _reference_admm(inst, params))
+
+    @pytest.mark.parametrize("max_iter", [7, 20000])
+    def test_admm_objective_is_the_flow_objective(self, max_iter):
+        # the closed form sum w log w + wbar . log t, at a cut and a converged run
+        inst = _iridium_75()
+        sol = solve_admm(inst, SolverParams(r=40.0, max_iter=max_iter))
+        assert sol.converged == (max_iter > 7)
+        ws = _log_arrays(inst)[2]
+        per_flow = float(sum(np.sum(w * np.log(ui)) for w, ui in zip(ws, sol.u)))
+        assert abs(sol.objective - per_flow) <= 1e-12 * abs(per_flow)
 
     # Aggregate CP is a different iteration from the flow-level reference,
     # so it is checked at the optimum, not iterate by iterate.
@@ -737,6 +779,15 @@ class TestPolytopeProjector:
 
 
 class TestSolveGradproj:
+    def test_step_to_a_zero_class_total_is_rejected(self):
+        # at alpha = 1 the first trial projects a class total to exactly 0
+        # (objective -inf); that trial must be halved, not accepted
+        inst = gen_instance(small_topology(), 30, seed=1)
+        sol = solve_gradproj(inst, SolverParams(alpha=1.0))
+        assert sol.converged and np.min(sol.x) > 0.0
+        oracle = oracle_solve(inst)
+        assert abs(sol.objective - oracle.objective) <= 1e-10 * abs(oracle.objective)
+
     def test_single_class_saturates_link(self):
         inst = _single_link_instance([[WeightedLog(1.0)]])
         sol = solve_gradproj(inst, SolverParams(alpha=0.05))
