@@ -4,10 +4,11 @@ The oracle solves the link-price dual over the nonnegative orthant
 (quasi-Newton with bound constraints, then a Newton polish on the saturated
 links). By the paper's aggregation theorem each class enters the dual only
 through its aggregate, so the dual is evaluated on N class aggregates. The
-per-flow rates are then recovered as conjugate derivatives of the final
-path prices, and the result is accepted only if their full flow-level KKT
-residual meets the tolerance. It shares no iteration machinery with the
-first-order solvers and is intended for small instances.
+class rates at the final path prices get the share split every alpha-fair
+solver uses, and the result is accepted only if its flow-level KKT residual,
+which takes each flow's own conjugate derivative, meets the tolerance. It
+shares no iteration machinery with the first-order solvers and is intended
+for small instances.
 """
 
 from __future__ import annotations
@@ -25,8 +26,8 @@ import scipy.optimize
 from .errors import IoError, NonConvergence, NotSupportedUtility
 from .netmodel import Instance, Network, gen_instance, iridium_topology, load_instance, small_topology
 from .rng import mix
-from .solvers import SolverParams, Solution, solve_admm, solve_cp, solve_gradproj
-from .utility import NegPower, WeightedLog, evaluate, kkt_check_single_path
+from .solvers import SolverParams, Solution, _apportioned, solve_admm, solve_cp, solve_gradproj
+from .utility import FairClasses, evaluate, kkt_check_single_path
 
 VERSION = "0.1.0"
 
@@ -37,45 +38,19 @@ SOLVERS = {
 }
 
 
-def _dual_terms(inst: Instance):
-    """Per-class flow parameter arrays for the dual objective."""
-    terms = []
-    for cls in inst.classes:
-        fams = cls.flows
-        if all(isinstance(f, WeightedLog) for f in fams):
-            terms.append(("log", np.asarray([f.w for f in fams]), None))
-        elif all(isinstance(f, NegPower) for f in fams):
-            a_vals = {f.a for f in fams}
-            if len(a_vals) != 1:
-                raise NotSupportedUtility("oracle requires a common exponent per class")
-            terms.append(("power", np.asarray([f.w for f in fams]), fams[0].a))
-        else:
-            raise NotSupportedUtility("oracle handles weighted-log and negative-power classes")
-    return terms
-
-
-def _primal_rates(terms, v: np.ndarray):
-    """u[i][k] = conjugate derivative of flow (i,k) at the path price v_i."""
-    return [w / vi if tag == "log" else (a * w / vi) ** (1.0 / (a + 1.0))
-            for (tag, w, a), vi in zip(terms, v)]
-
-
 class _AggregateDual:
     """The link-price dual on class aggregates, by the aggregation theorem.
 
-    Class i's rate at path price v_i is x_i = k_i v_i^-p_i, with k = sum_k w_k
-    and p = 1 for a log class, k = sum_k (a w_k)^p and p = 1/(a+1) for a
-    negative-power class with exponent a. Built once, these make the dual's
+    Class i's rate at path price v_i is x_i = k_i v_i^-p_i, with k, p and the
+    log classes read from the ``FairClasses`` table. They make the dual's
     value and gradient N-vector expressions plus one product with R.
     """
 
-    def __init__(self, R, c, terms):
+    def __init__(self, R, c, classes: FairClasses):
         self.R, self.c = R, c
-        self.log = np.array([tag == "log" for tag, _, _ in terms])
-        self.p = np.array([1.0 if tag == "log" else 1.0 / (a + 1.0) for tag, _, a in terms])
-        self.k = np.array([np.sum(w if tag == "log" else (a * w) ** p)
-                           for (tag, w, a), p in zip(terms, self.p)])
-        self.wlogw = sum(float(np.sum(w * np.log(w))) for tag, w, _ in terms if tag == "log")
+        self.log, self.p, self.k = classes.log, classes.p, classes.k
+        self.wlogw = sum(float(np.sum(w * np.log(w)))
+                         for w, log in zip(classes.weights, classes.log) if log)
 
     def rates(self, v: np.ndarray):
         """Class rates x(v) and their slopes dx_i/dv_i = -p_i x_i / v_i."""
@@ -98,8 +73,8 @@ def oracle_solve(inst: Instance, tol: float = 1e-7) -> Solution:
         raise NotSupportedUtility("oracle handles single-path instances")
     R = inst.routing.dense()
     c = inst.network.capacities
-    terms = _dual_terms(inst)
-    dual = _AggregateDual(R, c, terms)
+    classes = FairClasses(cls.flows for cls in inst.classes)
+    dual = _AggregateDual(R, c, classes)
 
     rho0 = np.full(R.shape[0], 0.1)
     res = scipy.optimize.minimize(
@@ -112,27 +87,15 @@ def oracle_solve(inst: Instance, tol: float = 1e-7) -> Solution:
     )
     rho = _newton_polish(np.maximum(res.x, 0.0), R, c, dual.rates)
 
-    v = np.maximum(R.T @ rho, 1e-12)
-    u = tuple(_primal_rates(terms, v))
-    x = np.asarray([ui.sum() for ui in u])
-    report = kkt_check_single_path(inst, x, u, rho, tol=tol)
+    x = dual.rates(np.maximum(R.T @ rho, 1e-12))[0]
+    sol = _apportioned(R, classes, x, rho, int(res.nit), True, t0)
+    report = kkt_check_single_path(inst, sol.x, sol.u, rho, tol=tol)
     if not report.passed:
         raise NonConvergence(
             f"oracle residual {report.max_residual:.3e} exceeds {tol:.1e}"
         )
-    objective = float(sum(w @ np.log(ui) if tag == "log" else -(w @ ui ** -a)
-                          for (tag, w, a), ui in zip(terms, u)))
-    return Solution(
-        x=x,
-        u=u,
-        lam=None,
-        rho=rho,
-        objective=objective,
-        l_max=float(np.max(R @ x)),
-        n_iter=int(res.nit),
-        wall_time=time.perf_counter() - t0,
-        converged=True,
-    )
+    sol.wall_time = time.perf_counter() - t0  # the certificate is part of the solve
+    return sol
 
 
 def _newton_polish(rho, R, c, rates, rounds: int = 40):

@@ -5,11 +5,9 @@ per-path rates with the projected-gradient loop that ``solve_gradproj``
 runs as its J = 1 case; the result type is likewise
 :class:`numflow.solvers.Solution` and the optimality check
 :func:`numflow.utility.kkt_check`, both shared with single-path solutions.
-The per-flow allocation then solves the two-marginal system (row sums
-equal per-path aggregates, column sums equal per-flow targets, everything
-nonnegative) with the rank-one proportional solution
-u[k, j] = x_j * g_k / x_bar, which satisfies both marginals exactly
-whenever they are consistent.
+The per-flow allocation is the share split every alpha-fair solver uses,
+u[k, j] = (w_k / wbar_i) x_ij: its column sums are the path rates and its
+row sums the flows' shares of the class total.
 """
 
 from __future__ import annotations
@@ -21,7 +19,7 @@ import numpy as np
 from .errors import InconsistentTargets, InsufficientPaths, NoPath, TooManyClasses
 from .netmodel import FlowClass, Instance, Network, admissible_pairs, dijkstra_path, routing_matrix
 from .rng import MixRng
-from .solvers import Solution, SolverParams, _gradproj_loop, _log_arrays, _log_objective
+from .solvers import Solution, SolverParams, _apportioned, _gradproj_loop, _log_classes
 from .solvers import project_polytope_with_duals  # noqa: F401  (patched by the benchmark tracer)
 from .utility import KktReport, WeightedLog, kkt_check
 
@@ -90,10 +88,10 @@ def solve_multipath_aggregate(inst: Instance, params: SolverParams):
     scaled by the accepted step size, with mu reported as 0 wherever the
     path rate is clearly positive.
     """
-    R, c, ws = _log_arrays(inst)
-    wbar = np.asarray([w.sum() for w in ws])
-    n, J = len(ws), inst.paths_per_class
-    x, lam, mu, it, converged = _gradproj_loop(R, c, wbar, J, params)
+    wbar = _log_classes(inst, single_path=False).k
+    n, J = len(wbar), inst.paths_per_class
+    x, lam, mu, it, converged = _gradproj_loop(
+        inst.routing.dense(), inst.network.capacities, wbar, J, params)
     return x.reshape(n, J), lam, mu.reshape(n, J), it, converged
 
 
@@ -128,31 +126,15 @@ def allocate_subflows(
 
 
 def solve_multipath(inst: Instance, params: SolverParams) -> Solution:
-    """Aggregate solve plus per-class proportional subflow allocation.
+    """Aggregate solve plus the per-class share split of every path rate.
 
     The Solution's ``x`` is (N, J), each ``u[i]`` is (K_i, J), ``rho``
     holds the link duals and ``mu`` the (N, J) path-nonnegativity duals.
     """
     t0 = time.perf_counter()
-    R, c, ws = _log_arrays(inst)
+    classes = _log_classes(inst, single_path=False)
     x, rho, mu, n_iter, converged = solve_multipath_aggregate(inst, params)
-    x_bar = x.sum(axis=1)
-    us = []
-    for i, w in enumerate(ws):
-        g_bar = (x_bar[i] / w.sum()) * w if x_bar[i] > 0 else np.zeros_like(w)
-        us.append(allocate_subflows(x[i], g_bar, tol=1e-6, rescale_fallback=True))
-    return Solution(
-        x=x,
-        u=tuple(us),
-        lam=None,
-        rho=rho,
-        objective=_log_objective(ws, [u.sum(axis=1) for u in us]),
-        l_max=float(np.max(R @ x.reshape(-1))),
-        n_iter=n_iter,
-        wall_time=time.perf_counter() - t0,
-        converged=converged,
-        mu=mu,
-    )
+    return _apportioned(inst.routing.dense(), classes, x, rho, n_iter, converged, t0, mu=mu)
 
 
 def kkt_check_multipath(inst: Instance, alloc: Solution, tol: float = 1e-5) -> KktReport:

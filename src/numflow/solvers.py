@@ -22,8 +22,8 @@ Three solvers share the aggregate-flow structure:
   it solves the least-distance problem cold, as NNLS by
   ``scipy.optimize.nnls``, and takes the next face from its multipliers.
 
-CP and gradproj apportion the aggregate rates to flows once, after the
-loop: u_k = (w_k / wbar_i) x_i.
+Each apportions the aggregate rates to flows once, after the loop, by the
+share split every alpha-fair solver uses: ``utility.FairClasses``.
 
 All three require weighted-log utilities (the closed-form case). A fourth
 path, ``solve_pwl_aggregate``, handles piecewise-linear utilities via
@@ -34,8 +34,7 @@ HiGHS (``scipy.optimize.linprog``) on a sparse constraint matrix.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import asdict, dataclass
 
 import numpy as np
 import scipy.linalg
@@ -45,7 +44,7 @@ import scipy.sparse
 from .errors import DimensionMismatch, DomainError, MaxIterExceeded, NotSupportedUtility
 from .netmodel import Instance, RoutingMatrix
 from .pwl import pwl_apportion, pwl_eval
-from .utility import PwlUtility, WeightedLog, aggregate_kkt_residual
+from .utility import FairClasses, PwlUtility, aggregate_kkt_residual
 
 
 @dataclass(frozen=True)
@@ -54,13 +53,12 @@ class SolverParams:
     pct: float = 1e-4        # ADMM relative change stopping threshold
     alpha: float = 1e-2      # gradient projection first trial step
     sigma: float = 1.0       # CP dual step
-    tau: float = 0.015       # CP primal step
     theta: float = 1.0       # CP extrapolation
     max_iter: int = 20000
     tol: float = 1e-5        # KKT residual target (CP, gradient projection)
 
     def __post_init__(self):
-        if self.r <= 0 or self.alpha <= 0 or self.sigma <= 0 or self.tau <= 0:
+        if self.r <= 0 or self.alpha <= 0 or self.sigma <= 0:
             raise ValueError("step/penalty parameters must be positive")
         if not 0.0 <= self.theta <= 1.0:
             raise ValueError("theta must lie in [0, 1]")
@@ -68,11 +66,7 @@ class SolverParams:
             raise ValueError("max_iter must be positive")
 
     def to_json(self) -> dict:
-        return {
-            "r": self.r, "pct": self.pct, "alpha": self.alpha,
-            "sigma": self.sigma, "tau": self.tau, "theta": self.theta,
-            "max_iter": self.max_iter, "tol": self.tol,
-        }
+        return asdict(self)
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolverParams":
@@ -147,18 +141,15 @@ def spd_prefactor(R: RoutingMatrix | np.ndarray) -> SpdFactor:
     return SpdFactor(dense)
 
 
-def _log_arrays(inst: Instance):
-    """Dense routing, capacities, per-class weight vectors for log instances."""
-    ws = []
-    for cls in inst.classes:
-        if not all(isinstance(f, WeightedLog) for f in cls.flows):
-            raise NotSupportedUtility("solver requires weighted-log utilities")
-        ws.append(np.asarray([f.w for f in cls.flows], dtype=float))
-    return inst.routing.dense(), inst.network.capacities, ws
-
-
-def _log_objective(ws: list[np.ndarray], u: Sequence[np.ndarray]) -> float:
-    return float(sum(np.sum(w * np.log(ui)) for w, ui in zip(ws, u)))
+def _log_classes(inst: Instance, single_path: bool = True) -> FairClasses:
+    """The class table; NotSupportedUtility unless every flow is weighted-log
+    and, when ``single_path``, every class has one path."""
+    if single_path and inst.paths_per_class != 1:
+        raise NotSupportedUtility("single-path instances only")
+    classes = FairClasses(cls.flows for cls in inst.classes)
+    if not classes.log.all():
+        raise NotSupportedUtility("solver requires weighted-log utilities")
+    return classes
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +174,8 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
     t_i = 2 / (psi_i + sqrt(psi_i^2 + 4 r wbar_i)). The class sum is then
     wbar_i t_i, and the class's share of the log objective is
     sum_k w_k log w_k + wbar_i log t_i, whose first term is a constant.
-    The loop carries t and builds the flow rates once, after it stops; the
-    reported objective is the same closed form at the last t. The x-step
+    The loop carries t and splits s = wbar t among the flows after it stops;
+    the reported objective is the same closed form at the last t. The x-step
     (I + R^T R) x = s + lam/r + R^T (y + rho/r) is ``SpdFactor.solve_split``,
     which returns R x with x: one product with R, one with the prefactored
     L x L inverse and one with R^T per iteration. The residuals s - x and
@@ -197,23 +188,20 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
     (non-convergence is flagged, not raised).
     """
     t0 = time.perf_counter()
-    if inst.paths_per_class != 1:
-        raise NotSupportedUtility("single-path instances only")
-    R, c, ws = _log_arrays(inst)
-    n = len(ws)
+    classes = _log_classes(inst)
+    R, c = inst.routing.dense(), inst.network.capacities
     r = params.r
-    wbar = np.asarray([w.sum() for w in ws])
+    wbar = classes.k
     four_r_wbar = 4.0 * r * wbar
-    w_all = np.concatenate(ws)
-    w_log_w = float(w_all @ np.log(w_all))
+    w_log_w = float(classes.w @ np.log(classes.w))
     factor = spd_prefactor(inst.routing)
 
     # start from u = 1 for every flow: class sums K_i, log objective 0, so
     # s = x, R x = y and zero multipliers put the Lagrangian at exactly 0
-    s = np.asarray([float(len(w)) for w in ws])
+    s = classes.sizes.astype(float)
     x = s.copy()
     Rx = R @ x
-    lam = np.zeros(n)
+    lam = np.zeros(len(wbar))
     rho = np.zeros(R.shape[0])
     prev = 0.0
     threshold = params.pct / 100.0
@@ -241,7 +229,7 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
             flat_streak = 0
         prev = cur
 
-    u = tuple(ws[i] * t[i] for i in range(n))
+    u, _ = classes.split(s)
     # The splitting multiplier converges to minus the capacity dual (the
     # y-stationarity of the recast problem pairs rho with -eta), so the
     # reported link duals are negated.
@@ -429,8 +417,8 @@ def _gradproj_loop(R: np.ndarray, c: np.ndarray, wbar: np.ndarray, J: int, param
     Class i's utility is wbar_i log(sum_j x_ij), so every path of a class
     gets the gradient of its class total. Each step tries ``params.alpha``
     first and halves it until the projected point keeps every class total
-    positive and satisfies the Armijo condition along the projection arc,
-    f(x+) >= f(x) + 1e-4 grad.(x+ - x) with f = sum_i wbar_i log xbar_i
+    above 1e-12 times the largest and satisfies the Armijo condition along
+    the projection arc, f(x+) >= f(x) + 1e-4 grad.(x+ - x) with f = sum_i wbar_i log xbar_i
     (Bertsekas, Nonlinear Programming, sec. 2.3); the duals are the
     projection's multipliers over the accepted step. Every trial point is
     projected by one ``_PolytopeProjector``, built for this solve. Raises
@@ -455,10 +443,11 @@ def _gradproj_loop(R: np.ndarray, c: np.ndarray, wbar: np.ndarray, J: int, param
             x_new, nu = project((x + step * grad).ravel())
             x_new = np.maximum(x_new, 0.0).reshape(n, J)  # clear projection round-off
             bar_new = x_new.sum(axis=1)
-            # a class total of 0 has f = -inf: reject it before taking its log.
+            # reject a class total of 0 (f = -inf) before taking its log, and one
+            # at round-off, whose gradient would throw the next step far off.
             # f(x+) - f(x) and grad.(x+ - x) are sums over classes of
             # wbar_i log1p(r_i) and wbar_i r_i; log1p stays accurate for tiny steps
-            if np.min(bar_new) > 0.0:
+            if np.min(bar_new) > 1e-12 * np.max(bar_new):
                 ratio = (bar_new - x_bar) / x_bar
                 if wbar @ np.log1p(ratio) >= 1e-4 * (wbar @ ratio):
                     break
@@ -475,19 +464,21 @@ def _gradproj_loop(R: np.ndarray, c: np.ndarray, wbar: np.ndarray, J: int, param
     return x.ravel(), lam, mu, it, converged
 
 
-def _apportioned(R, ws, wbar, x, rho, n_iter, converged, t0) -> Solution:
-    """Solution with class i's rate x_i apportioned to its flows as (w_k / wbar_i) x_i."""
-    u = tuple(w / wb * xi for w, wb, xi in zip(ws, wbar, x))
+def _apportioned(R, classes: FairClasses, x, duals, n_iter, converged, t0, mu=None) -> Solution:
+    """Solution with each class's rate x_i (a row of x for J paths) split among
+    its flows by ``classes``; ``duals`` are the link duals."""
+    u, objective = classes.split(x)
     return Solution(
         x=x,
         u=u,
         lam=None,
-        rho=rho,
-        objective=_log_objective(ws, u),
-        l_max=float(np.max(R @ x)),
+        rho=duals,
+        objective=objective,
+        l_max=float(np.max(R @ x.reshape(-1))),
         n_iter=n_iter,
         wall_time=time.perf_counter() - t0,
         converged=converged,
+        mu=mu,
     )
 
 
@@ -498,12 +489,10 @@ def _apportioned(R, ws, wbar, x, rho, n_iter, converged, t0) -> Solution:
 def solve_gradproj(inst: Instance, params: SolverParams) -> Solution:
     """Projected gradient ascent on the aggregate problem, then apportionment."""
     t0 = time.perf_counter()
-    if inst.paths_per_class != 1:
-        raise NotSupportedUtility("single-path instances only")
-    R, c, ws = _log_arrays(inst)
-    wbar = np.asarray([w.sum() for w in ws])
-    x, lam, _, it, converged = _gradproj_loop(R, c, wbar, 1, params)
-    return _apportioned(R, ws, wbar, x, lam, it, converged, t0)
+    classes = _log_classes(inst)
+    R = inst.routing.dense()
+    x, lam, _, it, converged = _gradproj_loop(R, inst.network.capacities, classes.k, 1, params)
+    return _apportioned(R, classes, x, lam, it, converged, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -532,17 +521,17 @@ def solve_cp(inst: Instance, params: SolverParams) -> Solution:
     sizes K_i (every flow at rate 1), and the flow rates are built once,
     after the loop.
 
-    The primal step is capped at 0.95 / (sigma * ||R||_2^2) when the
-    supplied (sigma, tau) pair violates the step-product convergence bound.
+    The primal step is tau = 0.95 / (sigma * ||R||_2^2), inside the
+    step-product bound sigma * tau * ||R||^2 < 1 that the iteration's
+    convergence needs.
     """
     t0 = time.perf_counter()
-    if inst.paths_per_class != 1:
-        raise NotSupportedUtility("single-path instances only")
-    R, c, ws = _log_arrays(inst)
-    wbar = np.asarray([w.sum() for w in ws])
-    tau = min(params.tau, 0.95 / (params.sigma * np.linalg.norm(R, 2) ** 2))
+    classes = _log_classes(inst)
+    R, c = inst.routing.dense(), inst.network.capacities
+    wbar = classes.k
+    tau = 0.95 / (params.sigma * np.linalg.norm(R, 2) ** 2)
 
-    x = np.asarray([float(len(w)) for w in ws])
+    x = classes.sizes.astype(float)
     v = x.copy()
     y = np.zeros(R.shape[0])
     converged = False
@@ -556,7 +545,7 @@ def solve_cp(inst: Instance, params: SolverParams) -> Solution:
             if aggregate_kkt_residual(R, c, wbar, x, y) <= params.tol:
                 converged = True
                 break
-    return _apportioned(R, ws, wbar, x, y, it, converged, t0)
+    return _apportioned(R, classes, x, y, it, converged, t0)
 
 
 # ---------------------------------------------------------------------------

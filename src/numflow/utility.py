@@ -33,6 +33,7 @@ from .errors import (
     MixedExponent,
     MixedTags,
     NotLegendre,
+    NotSupportedUtility,
 )
 from .pwl import NEG_INF, PwlConcave, pwl_apportion, pwl_eval, pwl_from_json, pwl_supconv, pwl_to_json
 
@@ -151,27 +152,86 @@ def aggregate_class(members: Sequence[UtilityFamily]) -> ClassUtility:
     return ClassUtility(members, agg)
 
 
+class FairClasses:
+    """Aggregate constants and flow shares of weighted-log and negative-power classes.
+
+    Built once per solve, in one pass over ``flows_by_class`` (one sequence
+    of flows per class). Class i has exponent a_i, 0 for a log class, and
+    at path price v_i its flows' rates sum to x_i(v) = k_i v_i^-p_i with
+
+        log:            k_i = sum_k w_k,             p_i = 1,
+        negative power: k_i = sum_k (a_i w_k)^p_i,   p_i = 1 / (a_i + 1).
+
+    Each flow's rate, the conjugate derivative at v_i, is the fixed share
+    q_k / k_i of x_i, with q_k = w_k or (a_i w_k)^p_i (Mo & Walrand 2000),
+    so ``split`` apportions any class rates without the prices. For a log
+    class k_i is the class weight wbar_i. A class of any other family, or
+    whose negative-power flows differ in exponent, raises
+    NotSupportedUtility.
+    """
+
+    def __init__(self, flows_by_class):
+        weights, a, k, q = [], [], [], []
+        for flows in flows_by_class:
+            if all(isinstance(f, WeightedLog) for f in flows):
+                a_i = 0.0
+            elif all(isinstance(f, NegPower) and f.a == flows[0].a for f in flows):
+                a_i = flows[0].a
+            else:
+                raise NotSupportedUtility(
+                    "each class must be weighted-log or negative-power with one exponent")
+            w = np.asarray([f.w for f in flows], dtype=float)
+            q_i = w if a_i == 0.0 else (a_i * w) ** (1.0 / (a_i + 1.0))
+            weights.append(w)
+            a.append(a_i)
+            k.append(np.sum(q_i))
+            q.append(q_i)
+        sizes = [len(w) for w in weights]
+        ends = np.cumsum(sizes).tolist()
+        self.weights = tuple(weights)
+        self.w = np.concatenate(weights)
+        self.a = np.asarray(a)
+        self.log = self.a == 0.0
+        self.p = 1.0 / (self.a + 1.0)
+        self.k = np.asarray(k)
+        self.sizes = np.asarray(sizes)
+        self._slices = [slice(e - n, e) for n, e in zip(sizes, ends)]
+        self._share = np.concatenate(q) / np.repeat(self.k, sizes)
+        flow_a = np.repeat(self.a, sizes)
+        self._log_flows = flow_a == 0.0
+        self._power_a = flow_a[~self._log_flows]
+
+    def split(self, x):
+        """Flow rates from class rates, and the flow objective at them.
+
+        ``x`` is (N,), or (N, J) with one column per path. Returns (u, f):
+        u[i] is class i's flows' shares of x_i, (K_i,) or (K_i, J), and f is
+        the sum of every flow's utility at its total rate.
+        """
+        x = np.asarray(x, dtype=float)
+        share = self._share if x.ndim == 1 else self._share[:, None]
+        rates = share * np.repeat(x, self.sizes, axis=0)
+        total = rates if x.ndim == 1 else rates.sum(axis=1)
+        log = self._log_flows
+        objective = (self.w[log] @ np.log(total[log])
+                     - self.w[~log] @ total[~log] ** -self._power_a)
+        return tuple(rates[s] for s in self._slices), float(objective)
+
+
 def apportion(cu: ClassUtility, x_star: float) -> list[float]:
     """Split the class aggregate rate among member flows in closed form.
 
-    Equals g'_k evaluated at the aggregate's derivative, which for each
-    family reduces to the shares below; the parts always sum to x_star
-    (up to accumulation round-off).
+    Equals g'_k evaluated at the aggregate's derivative: a log or
+    negative-power member takes its ``FairClasses`` share; the parts
+    always sum to x_star (up to accumulation round-off).
     """
     members = cu.members
     first = members[0]
-    if isinstance(first, WeightedLog):
+    if isinstance(first, (WeightedLog, NegPower)):
         if x_star <= 0:
             raise DomainError("aggregate rate must be positive")
-        w_bar = sum(m.w for m in members)
-        return [m.w / w_bar * x_star for m in members]
-    if isinstance(first, NegPower):
-        if x_star <= 0:
-            raise DomainError("aggregate rate must be positive")
-        a = first.a
-        roots = [m.w ** (1.0 / (a + 1.0)) for m in members]
-        total = sum(roots)
-        return [r / total * x_star for r in roots]
+        u, _ = FairClasses([members]).split([x_star])
+        return u[0].tolist()
     if isinstance(first, Quadratic):
         agg = cu.aggregate
         if x_star < agg.lower:

@@ -36,7 +36,14 @@ from numflow.multipath import gen_multipath_instance, solve_multipath
 from numflow.pwl import PwlConcave
 from numflow.rng import mix
 from numflow.solvers import SolverParams, solve_admm, solve_cp
-from numflow.utility import NegPower, PwlUtility, WeightedLog, evaluate, kkt_check_single_path
+from numflow.utility import (
+    FairClasses,
+    NegPower,
+    PwlUtility,
+    WeightedLog,
+    evaluate,
+    kkt_check_single_path,
+)
 
 # iridium gateway-constrained (N, base seed) whose saturated links are dependent
 DEPENDENT_ACTIVE_LINKS = [(50, 2), (50, 3), (75, 1)]
@@ -56,16 +63,42 @@ def _single_link_instance(class_flows, cap=10.0):
     return Instance(net, classes, routing_matrix(net, classes))
 
 
+def _dual_terms(inst):
+    """Per-class flow parameter arrays, as the oracle read them before the
+    class table: ("log", w, None) or ("power", w, a)."""
+    terms = []
+    for cls in inst.classes:
+        fams = cls.flows
+        if all(isinstance(f, WeightedLog) for f in fams):
+            terms.append(("log", np.asarray([f.w for f in fams]), None))
+        else:
+            assert all(isinstance(f, NegPower) for f in fams) and len({f.a for f in fams}) == 1
+            terms.append(("power", np.asarray([f.w for f in fams]), fams[0].a))
+    return terms
+
+
+def _primal_rates(terms, v):
+    """u[i][k] = conjugate derivative of flow (i,k) at the path price v_i."""
+    return [w / vi if tag == "log" else (a * w / vi) ** (1.0 / (a + 1.0))
+            for (tag, w, a), vi in zip(terms, v)]
+
+
+def _table_terms(classes):
+    """``_dual_terms`` read back from a class table."""
+    return [("log", w, None) if a == 0.0 else ("power", w, a)
+            for w, a in zip(classes.weights, classes.a.tolist())]
+
+
 class _PerFlowDual:
     """The oracle's dual before it ran on class aggregates: a Python loop
     over the classes with numpy reductions over each class's flows. Kept
     as the reference the aggregate form is checked against."""
 
-    def __init__(self, R, c, terms):
-        self.R, self.c, self.terms = R, c, terms
+    def __init__(self, R, c, classes):
+        self.R, self.c, self.terms = R, c, _table_terms(classes)
 
     def rates(self, v):
-        x = np.asarray([ui.sum() for ui in harness._primal_rates(self.terms, v)])
+        x = np.asarray([ui.sum() for ui in _primal_rates(self.terms, v)])
         slopes = np.empty(len(self.terms))
         for i, ((tag, w, a), vi) in enumerate(zip(self.terms, v)):
             if tag == "log":
@@ -121,11 +154,30 @@ DUAL_INSTANCES = _dual_instances()
 
 class TestAggregateDual:
     @pytest.mark.parametrize("name", sorted(DUAL_INSTANCES))
+    def test_class_table_holds_the_dual_terms(self, name):
+        inst = DUAL_INSTANCES[name]
+        got = _table_terms(FairClasses(cls.flows for cls in inst.classes))
+        want = _dual_terms(inst)
+        assert [(tag, a) for tag, _, a in got] == [(tag, a) for tag, _, a in want]
+        assert all(np.array_equal(g[1], w[1]) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("name", sorted(DUAL_INSTANCES))
+    def test_oracle_rates_are_the_conjugate_derivatives(self, name):
+        # the share split of x(v) equals each flow's own conjugate
+        # derivative at the final path price, to round-off
+        inst = DUAL_INSTANCES[name]
+        sol = oracle_solve(inst)
+        v = np.maximum(inst.routing.dense().T @ sol.rho, 1e-12)
+        ref = np.concatenate(_primal_rates(_dual_terms(inst), v))
+        u = np.concatenate(sol.u)
+        assert float(np.max(np.abs(u - ref))) <= 1e-15 * (1.0 + float(np.max(ref)))
+
+    @pytest.mark.parametrize("name", sorted(DUAL_INSTANCES))
     def test_matches_per_flow_dual(self, name):
         inst = DUAL_INSTANCES[name]
         R, c = inst.routing.dense(), inst.network.capacities
-        terms = harness._dual_terms(inst)
-        agg, ref = harness._AggregateDual(R, c, terms), _PerFlowDual(R, c, terms)
+        classes = FairClasses(cls.flows for cls in inst.classes)
+        agg, ref = harness._AggregateDual(R, c, classes), _PerFlowDual(R, c, classes)
         rng = np.random.default_rng(11)
         rhos = [np.zeros(len(c))]  # every path price clamped to 1e-12
         rhos += [scale * rng.uniform(size=len(c)) for scale in (1e-3, 0.1, 1.0, 10.0)]
@@ -142,12 +194,12 @@ class TestAggregateDual:
     def test_rates_and_slopes_match_per_flow(self, name):
         inst = DUAL_INSTANCES[name]
         R, c = inst.routing.dense(), inst.network.capacities
-        terms = harness._dual_terms(inst)
+        classes = FairClasses(cls.flows for cls in inst.classes)
         rng = np.random.default_rng(12)
         for scale in (1e-12, 1e-3, 1.0, 10.0):
             v = scale * (0.5 + rng.uniform(size=R.shape[1]))
-            x, slopes = harness._AggregateDual(R, c, terms).rates(v)
-            x_ref, slopes_ref = _PerFlowDual(R, c, terms).rates(v)
+            x, slopes = harness._AggregateDual(R, c, classes).rates(v)
+            x_ref, slopes_ref = _PerFlowDual(R, c, classes).rates(v)
             np.testing.assert_allclose(x, x_ref, rtol=1e-12, atol=0)
             np.testing.assert_allclose(slopes, slopes_ref, rtol=1e-12, atol=0)
 

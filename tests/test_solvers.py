@@ -31,7 +31,6 @@ from numflow.pwl import PwlConcave
 from numflow.rng import MixRng, mix
 from numflow.solvers import (
     SolverParams,
-    _log_arrays,
     _PolytopeProjector,
     _polytope_constraints,
     _project_qp,
@@ -62,6 +61,16 @@ def _single_link_instance(class_flows, cap=10.0):
     return Instance(net, classes, routing_matrix(net, classes))
 
 
+def _log_arrays(inst):
+    """Dense routing, capacities and per-class weight vectors of a log
+    instance: the arrays the reference loops below are written on."""
+    ws = []
+    for cls in inst.classes:
+        assert all(isinstance(f, WeightedLog) for f in cls.flows)
+        ws.append(np.asarray([f.w for f in cls.flows], dtype=float))
+    return inst.routing.dense(), inst.network.capacities, ws
+
+
 class TestSolverParams:
     def test_defaults_match_reference_settings(self):
         p = SolverParams()
@@ -76,8 +85,10 @@ class TestSolverParams:
             SolverParams(max_iter=0)
 
     def test_json_round_trip(self):
-        p = SolverParams(r=40.0, tau=0.02, max_iter=500)
+        p = SolverParams(r=40.0, theta=0.5, max_iter=500)
         assert SolverParams.from_json(p.to_json()) == p
+        # unknown keys, such as the CP primal step documents used to carry, are ignored
+        assert SolverParams.from_json({**p.to_json(), "tau": 0.015}) == p
 
 
 class TestSpdPrefactor:
@@ -253,7 +264,7 @@ def _reference_cp(inst, params):
     sizes = [len(w) for w in ws]
     w_flat = np.concatenate(ws)
     Q = np.repeat(R, sizes, axis=1)
-    tau = min(params.tau, 0.95 / (params.sigma * np.linalg.norm(Q, 2) ** 2))
+    tau = 0.95 / (params.sigma * np.linalg.norm(Q, 2) ** 2)
     bounds = np.cumsum([0] + sizes)
 
     def class_sums(u):
@@ -788,6 +799,15 @@ class TestSolveGradproj:
         oracle = oracle_solve(inst)
         assert abs(sol.objective - oracle.objective) <= 1e-10 * abs(oracle.objective)
 
+    def test_step_to_a_round_off_class_total_is_rejected(self):
+        # at alpha = 10 a trial leaves a class total at 8.9e-16; accepted,
+        # its gradient throws every trial of the next step far off
+        inst = gen_instance(small_topology(), 30, seed=1)
+        sol = solve_gradproj(inst, SolverParams(alpha=10.0))
+        assert sol.converged
+        oracle = oracle_solve(inst)
+        assert abs(sol.objective - oracle.objective) <= 1e-10 * abs(oracle.objective)
+
     def test_single_class_saturates_link(self):
         inst = _single_link_instance([[WeightedLog(1.0)]])
         sol = solve_gradproj(inst, SolverParams(alpha=0.05))
@@ -878,11 +898,12 @@ class TestSolveCp:
         assert sol.converged
         assert sol.x[0] == pytest.approx(10.0, abs=1e-2)
 
-    def test_step_cap_restores_convergence(self):
-        # tau=1 breaks sigma*tau*||R||^2 < 1 here (||R||^2 = 4.8); uncapped,
-        # the iteration is still off the optimum at max_iter
+    def test_default_step_converges_on_small(self):
+        # the primal step is the cap 0.95 / (sigma ||R||^2), 0.196 here
+        # (||R||^2 = 4.84); a fixed tau of 0.015 took 2,580 iterations
         inst = gen_instance(small_topology(), 10, seed=1)
-        assert solve_cp(inst, SolverParams(tau=1.0)).converged
+        sol = solve_cp(inst, SolverParams())
+        assert sol.converged and sol.n_iter <= 300
 
     def test_agrees_with_admm(self):
         for seed in (2, 4):

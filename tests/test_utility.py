@@ -5,12 +5,21 @@ import math
 import numpy as np
 import pytest
 
-from numflow.errors import DomainError, MixedExponent, MixedTags, NotLegendre
-from numflow.netmodel import FlowClass, Instance, Link, Network, routing_matrix
+from numflow.errors import DomainError, MixedExponent, MixedTags, NotLegendre, NotSupportedUtility
+from numflow.netmodel import (
+    FlowClass,
+    Instance,
+    Link,
+    Network,
+    gen_instance,
+    routing_matrix,
+    small_topology,
+)
 from numflow.pwl import PwlConcave
 from numflow.rng import MixRng
 from numflow.utility import (
     AggregateQuadratic,
+    FairClasses,
     KktReport,
     NegPower,
     PwlUtility,
@@ -140,6 +149,55 @@ class TestApportion:
             x = 0.1 + 10.0 * rng.uniform()
             parts = apportion(cu, x)
             assert sum(parts) == pytest.approx(x, rel=k * np.finfo(float).eps * 4)
+
+
+def _fair_classes(family):
+    spec = None if family == "log" else {"family": "power", "a": 2.0}
+    inst = gen_instance(small_topology(), 10, seed=3, utility_spec=spec)
+    return inst, FairClasses(cls.flows for cls in inst.classes)
+
+
+class TestFairClasses:
+    @pytest.mark.parametrize("family", ["log", "power"])
+    @pytest.mark.parametrize("J", [1, 2])
+    def test_split_sums_back_to_x(self, family, J):
+        inst, classes = _fair_classes(family)
+        rng = np.random.default_rng(21)
+        for scale in (1e-3, 1.0, 50.0):
+            x = scale * (0.1 + rng.uniform(size=(len(inst.classes), J)))
+            if J == 1:
+                x = x[:, 0]
+            u, objective = classes.split(x)
+            for ui, xi in zip(u, x):
+                assert np.all(np.abs(ui.sum(axis=0) - xi) <= 1e-15 * (1.0 + np.abs(xi)))
+            totals = [ui if J == 1 else ui.sum(axis=1) for ui in u]
+            per_flow = sum(evaluate(f, float(r)) for cls, ri in zip(inst.classes, totals)
+                           for f, r in zip(cls.flows, ri))
+            assert abs(objective - per_flow) <= 1e-12 * abs(per_flow)
+
+    @pytest.mark.parametrize("family", ["log", "power"])
+    def test_apportion_is_the_split_of_one_class(self, family):
+        inst, _ = _fair_classes(family)
+        flows = inst.classes[0].flows
+        u, _ = FairClasses([flows]).split([3.7])
+        assert apportion(aggregate_class(flows), 3.7) == u[0].tolist()
+
+    def test_constants(self):
+        classes = FairClasses([[WeightedLog(1.0), WeightedLog(3.0)],
+                               [NegPower(1.0, 1.0), NegPower(4.0, 1.0)]])
+        assert classes.log.tolist() == [True, False]
+        assert classes.p.tolist() == [1.0, 0.5]
+        assert classes.k.tolist() == [4.0, 3.0]   # 1 + 3 and sqrt(1) + sqrt(4)
+
+    @pytest.mark.parametrize("flows", [
+        [PwlUtility(PwlConcave((0.0, 1.0), (1.0, 0.0)))],
+        [Quadratic(1.0)],
+        [NegPower(1.0, 1.0), NegPower(1.0, 2.0)],
+        [WeightedLog(1.0), NegPower(1.0, 1.0)],
+    ], ids=["pwl", "quadratic", "mixed-exponent", "mixed-family"])
+    def test_rejects_other_classes(self, flows):
+        with pytest.raises(NotSupportedUtility):
+            FairClasses([[WeightedLog(1.0)], flows])
 
 
 class TestKktCheck:
