@@ -15,6 +15,11 @@ Three solvers share the aggregate-flow structure:
 * ``solve_gradproj``: projected gradient ascent with Armijo backtracking
   on the N-variable aggregate problem. Its loop is the J = 1 case of the
   per-path loop that ``solve_multipath_aggregate`` runs on N*J variables.
+  Each step's first trial is the Barzilai-Borwein step (s.s)/(-s.y)
+  (Barzilai & Borwein 1988; the spectral projected gradient of Birgin,
+  Martinez & Raydan, SIAM J. Optim. 2000), capped at 1e10, with
+  ``params.alpha`` on the first iteration and wherever -s.y <= 0. The
+  Armijo test allows the round-off of the objective change.
   The loop builds one projector onto the routing polytope per solve. Each
   projection first solves on the face (binding links, zero coordinates)
   of the previous one, a product with a prefactored face matrix, and
@@ -51,7 +56,8 @@ from .utility import FairClasses, PwlUtility, aggregate_kkt_residual
 class SolverParams:
     r: float = 20.0          # ADMM penalty
     pct: float = 1e-4        # ADMM relative change stopping threshold
-    alpha: float = 1e-2      # gradient projection first trial step
+    alpha: float = 1e-2      # gradient projection: first iteration's trial step, and
+                             # the fallback when the Barzilai-Borwein step is undefined
     sigma: float = 1.0       # CP dual step
     theta: float = 1.0       # CP extrapolation
     max_iter: int = 20000
@@ -407,38 +413,60 @@ def project_polytope_with_duals(x, R: RoutingMatrix | np.ndarray, c):
     return _project_qp(z, G, h, 10 * sum(dense.shape))
 
 
-# Halvings of params.alpha that one projected-gradient step may take
+# Halvings of the trial step that one projected-gradient step may take
 _MAX_HALVINGS = 30
+# Cap on the Barzilai-Borwein trial step
+_MAX_STEP = 1e10
+# Round-off allowance of the Armijo test, in units of sum_i wbar_i |log xbar_i|
+_ROUNDOFF_EPS = 8.0 * np.finfo(float).eps
 
 
 def _gradproj_loop(R: np.ndarray, c: np.ndarray, wbar: np.ndarray, J: int, params: SolverParams):
     """Projected gradient ascent on the N*J per-path aggregates, J per class.
 
     Class i's utility is wbar_i log(sum_j x_ij), so every path of a class
-    gets the gradient of its class total. Each step tries ``params.alpha``
-    first and halves it until the projected point keeps every class total
-    above 1e-12 times the largest and satisfies the Armijo condition along
-    the projection arc, f(x+) >= f(x) + 1e-4 grad.(x+ - x) with f = sum_i wbar_i log xbar_i
-    (Bertsekas, Nonlinear Programming, sec. 2.3); the duals are the
-    projection's multipliers over the accepted step. Every trial point is
-    projected by one ``_PolytopeProjector``, built for this solve. Raises
-    MaxIterExceeded when no step within ``_MAX_HALVINGS`` halvings is
-    accepted. Returns (x, lam, mu, n_iter, converged) with x and mu flat,
-    class by class.
+    gets the gradient of its class total. The start puts every path at half
+    the smallest c_l / (paths on l) over the links l that some path uses.
+
+    The first trial step is ``params.alpha`` on the first iteration. After
+    that it is the Barzilai-Borwein step (s.s)/(-s.y), with s = x - x_prev
+    and y = grad - grad_prev over all N*J coordinates, capped at
+    ``_MAX_STEP``; where -s.y <= 0 (x did not move, or only between the
+    paths of a class) it is ``params.alpha`` again. Each step halves its
+    trial until the projected point keeps every class total above 1e-12
+    times the largest and satisfies the Armijo condition along the
+    projection arc, f(x+) >= f(x) + 1e-4 grad.(x+ - x) - floor with
+    f = sum_i wbar_i log xbar_i (Bertsekas, Nonlinear Programming,
+    sec. 2.3). The floor, ``_ROUNDOFF_EPS`` * sum_i wbar_i |log xbar_i|,
+    is the round-off of f(x+) - f(x): without it a step whose class totals
+    are already optimal, and whose change in f is round-off, could fail
+    every trial. The duals are the projection's multipliers over the
+    accepted step. Every trial point is projected by one
+    ``_PolytopeProjector``, built for this solve. Raises MaxIterExceeded
+    when no step within ``_MAX_HALVINGS`` halvings is accepted. Returns
+    (x, lam, mu, n_iter, converged) with x and mu flat, class by class.
     """
     n = len(wbar)
     L = R.shape[0]
-    row_deg = np.maximum(R.sum(axis=1), 1.0)
-    x = np.full((n, J), 0.5 * float(np.min(c / row_deg)))
+    deg = R.sum(axis=1)
+    used = deg > 0
+    x = np.full((n, J), 0.5 * float(np.min(c[used] / deg[used])))
     x_bar = np.maximum(x.sum(axis=1), 1e-12)
     lam = np.zeros(L)
     mu = np.zeros(n * J)
     project = _PolytopeProjector(R, c)
     converged = False
+    x_prev = g_prev = None
     it = 0
     for it in range(1, params.max_iter + 1):
-        grad = (wbar / x_bar)[:, None]
+        grad = np.broadcast_to((wbar / x_bar)[:, None], (n, J))
         step = params.alpha
+        if x_prev is not None:
+            s, y = x - x_prev, grad - g_prev
+            curv = -float(np.vdot(s, y))
+            if curv > 0.0:
+                step = min(float(np.vdot(s, s)) / curv, _MAX_STEP)
+        floor = _ROUNDOFF_EPS * float(wbar @ np.abs(np.log(x_bar)))
         for _ in range(_MAX_HALVINGS + 1):
             x_new, nu = project((x + step * grad).ravel())
             x_new = np.maximum(x_new, 0.0).reshape(n, J)  # clear projection round-off
@@ -449,11 +477,13 @@ def _gradproj_loop(R: np.ndarray, c: np.ndarray, wbar: np.ndarray, J: int, param
             # wbar_i log1p(r_i) and wbar_i r_i; log1p stays accurate for tiny steps
             if np.min(bar_new) > 1e-12 * np.max(bar_new):
                 ratio = (bar_new - x_bar) / x_bar
-                if wbar @ np.log1p(ratio) >= 1e-4 * (wbar @ ratio):
+                if wbar @ np.log1p(ratio) >= 1e-4 * (wbar @ ratio) - floor:
                     break
             step *= 0.5
         else:
-            raise MaxIterExceeded(f"no ascent step after {_MAX_HALVINGS} halvings of alpha")
+            raise MaxIterExceeded(
+                f"no ascent step after {_MAX_HALVINGS} halvings of the trial step")
+        x_prev, g_prev = x, grad
         x, x_bar = x_new, bar_new
         lam = nu[:L] / step
         mu = nu[L:] / step

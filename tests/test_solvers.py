@@ -395,23 +395,6 @@ def _reference_multipath_residual(R, c, wbar, x_flat, lam, mu_flat, J):
     return float(max(feas, slack, dual, comp_mu, stat))
 
 
-def _reference_gradproj(inst, params):
-    """Single-path projected gradient with no clip and no path duals."""
-    R, c, ws = _log_arrays(inst)
-    wbar = np.asarray([w.sum() for w in ws])
-    row_deg = np.maximum(R.sum(axis=1), 1.0)
-    x = np.full(len(ws), 0.5 * float(np.min(c / row_deg)))
-    converged = False
-    for it in range(1, params.max_iter + 1):
-        grad = wbar / np.maximum(x, 1e-12)
-        x, nu = project_polytope_with_duals(x + params.alpha * grad, R, c)
-        lam = nu[: R.shape[0]] / params.alpha
-        if _reference_aggregate_residual(R, c, wbar, np.maximum(x, 1e-12), lam) <= params.tol:
-            converged = True
-            break
-    return x, lam, None, it, converged
-
-
 def _reference_multipath_aggregate(inst, params):
     """Projected gradient on the N*J per-path aggregates."""
     R, c, ws = _log_arrays(inst)
@@ -434,29 +417,31 @@ def _reference_multipath_aggregate(inst, params):
     return x.reshape(n, J), lam, mu.reshape(n, J), it, converged
 
 
-def _assert_same_gradproj(got, ref):
-    assert got[3:] == ref[3:]
-    for a, b in zip(got[:3], ref[:3]):
-        if b is None:
-            continue
-        assert float(np.max(np.abs(a - b))) <= 1e-12 * (1.0 + float(np.max(np.abs(b))))
+def _multipath_objective(inst, x):
+    """Flow-level log objective of per-path class rates x, shape (N, J)."""
+    ws = _log_arrays(inst)[2]
+    return float(sum(w @ np.log(w / w.sum() * t) for w, t in zip(ws, x.sum(axis=1))))
+
+
+@functools.lru_cache(maxsize=None)
+def _small_gradproj_case(n):
+    inst = gen_instance(small_topology(), n, seed=1)
+    return inst, oracle_solve(inst).objective
 
 
 class TestSharedGradprojLoop:
-    """Single path and multipath run one projected-gradient loop; it
-    reproduces both of the fixed-step loops it replaced wherever their
-    step passes the Armijo test."""
+    """Single path and multipath run one projected-gradient loop, whose
+    first trial step is the Barzilai-Borwein step; it reaches the optimum
+    the fixed-step loops it replaced converge to, in far fewer iterations."""
 
     @pytest.mark.parametrize("n, max_iter", [(3, 20000), (10, 500), (30, 500)])
     def test_single_path(self, n, max_iter):
-        # N=10 and N=30 are cut at max_iter to bound the test's time; at
-        # N=30 every link binds, so most projections are face solves
-        inst = gen_instance(small_topology(), n, seed=1)
-        params = SolverParams(max_iter=max_iter)
-        sol = solve_gradproj(inst, params)
-        ref = _reference_gradproj(inst, params)
-        assert ref[4] == (max_iter == 20000)
-        _assert_same_gradproj((sol.x, sol.rho, None, sol.n_iter, sol.converged), ref)
+        # at N=30 every link binds, so most projections are face solves
+        inst, oracle = _small_gradproj_case(n)
+        sol = solve_gradproj(inst, SolverParams(max_iter=max_iter))
+        assert sol.converged
+        assert abs(sol.objective - oracle) <= 1e-10 * abs(oracle)
+        assert kkt_check(inst, sol.x, sol.u, sol.rho, tol=1e-4).passed
 
     @pytest.mark.parametrize("n, max_iter", [(5, 5000), (10, 300)])
     def test_multipath(self, n, max_iter):
@@ -465,12 +450,58 @@ class TestSharedGradprojLoop:
         inst = gen_multipath_instance(small_topology(), n, 1, paths_per_class=2)
         params = SolverParams(alpha=2.0, tol=1e-6, max_iter=max_iter)
         if n == 5:
-            ref = _reference_multipath_aggregate(inst, params)
+            # stopped at tol=1e-6 the fixed-step reference's class totals are
+            # still 1e-5 off the optimum, so it runs to 1e-8 (92 iterations)
+            ref = _reference_multipath_aggregate(inst, replace(params, tol=1e-8))
             assert ref[4]
-            _assert_same_gradproj(solve_multipath_aggregate(inst, params), ref)
+            x = solve_multipath_aggregate(inst, params)[0]
+            assert np.max(np.abs(x.sum(axis=1) - ref[0].sum(axis=1))) <= params.tol
+            want = _multipath_objective(inst, ref[0])
+            assert abs(_multipath_objective(inst, x) - want) <= params.tol * abs(want)
         alloc = solve_multipath(inst, params)
-        assert alloc.converged
+        assert alloc.converged and alloc.n_iter <= 60
         assert kkt_check_multipath(inst, alloc, tol=1e-5).passed
+
+    @pytest.mark.parametrize("alpha", [0.01, 0.1, 1.0, 10.0])
+    @pytest.mark.parametrize("n", [10, 20, 30])
+    def test_first_step_alpha(self, n, alpha):
+        # alpha is only the first iteration's trial step and the fallback
+        # when the curvature -s.y is not positive; at the default 0.01 the
+        # fixed-step loop took 2,000-3,300 iterations here
+        inst, oracle = _small_gradproj_case(n)
+        sol = solve_gradproj(inst, SolverParams(alpha=alpha))
+        assert sol.converged and sol.n_iter <= 100
+        assert abs(sol.objective - oracle) <= 1e-10 * abs(oracle)
+
+    def test_stalled_iterate_falls_back_to_alpha(self):
+        # with tol=0 the loop runs to max_iter; once x stops moving, s = 0
+        # and -s.y = 0, so the trial step is alpha again
+        params = SolverParams(tol=0.0, max_iter=200)
+        inst, oracle = _small_gradproj_case(3)
+        sol = solve_gradproj(inst, params)
+        assert not sol.converged and sol.n_iter == params.max_iter
+        assert abs(sol.objective - oracle) <= 1e-10 * abs(oracle)
+        inst = gen_multipath_instance(small_topology(), 5, 1, paths_per_class=2)
+        alloc = solve_multipath(inst, replace(params, alpha=2.0))
+        assert not alloc.converged and alloc.n_iter == params.max_iter
+        assert kkt_check_multipath(inst, alloc, tol=1e-5).passed
+
+    def test_iridium(self):
+        inst = _iridium_75()
+        _assert_at_oracle_optimum(inst, solve_gradproj(inst, SolverParams()))
+
+    def test_unused_link_does_not_bound_the_start(self):
+        # link 3 carries no path; at capacity 1e-9 it used to set the start
+        # point near 0, from which no step within the halvings was accepted
+        inst = gen_instance(small_topology(), 10, seed=1)
+        assert inst.routing.dense()[3].sum() == 0
+        links = list(inst.network.links)
+        links[3] = links[3]._replace(cap=1e-9)
+        inst = replace(inst, network=replace(inst.network, links=tuple(links)))
+        sol = solve_gradproj(inst, SolverParams())
+        oracle = oracle_solve(inst).objective
+        assert sol.converged
+        assert abs(sol.objective - oracle) <= 1e-10 * abs(oracle)
 
     def test_backtracking_gives_up(self, monkeypatch):
         # a projection that always lands at 0 never increases the objective
