@@ -153,18 +153,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        params = {
-            name: SolverParams.from_json(p) for name, p in doc.get("params", {}).items()
+        """The config a document describes; absent keys keep the field defaults."""
+        convert = {
+            "n_values": lambda ns: tuple(int(n) for n in ns),
+            "seed": int,
+            "solvers": tuple,
+            "params": lambda ps: {name: SolverParams.from_json(p) for name, p in ps.items()},
+            "repetitions": int,
         }
-        return cls(
-            topology=doc.get("topology", "small"),
-            n_values=tuple(int(n) for n in doc.get("n_values", (10, 15, 20, 25, 30))),
-            seed=int(doc.get("seed", 1)),
-            solvers=tuple(doc.get("solvers", ("admm", "cp", "gradproj"))),
-            params=params,
-            repetitions=int(doc.get("repetitions", 10)),
-            endpoint_rule=doc.get("endpoint_rule"),
-        )
+        return cls(**{k: convert[k](v) if k in convert else v
+                      for k, v in doc.items() if k in cls.__dataclass_fields__})
 
 
 @dataclass(frozen=True)

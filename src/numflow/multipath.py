@@ -95,18 +95,13 @@ def solve_multipath_aggregate(inst: Instance, params: SolverParams):
     return x.reshape(n, J), lam, mu.reshape(n, J), it, converged
 
 
-def allocate_subflows(
-    x_star: np.ndarray,
-    g_bar: np.ndarray,
-    tol: float = 1e-9,
-    rescale_fallback: bool = False,
-) -> np.ndarray:
+def allocate_subflows(x_star: np.ndarray, g_bar: np.ndarray) -> np.ndarray:
     """Proportional solution of the two-marginal system for one class.
 
     Returns u with shape (len(g_bar), len(x_star)): flows as rows, paths as
-    columns; row sums equal g_bar and column sums equal x_star whenever the
-    two totals agree. With ``rescale_fallback`` the per-flow targets are
-    renormalized to the path total instead of raising on a mismatch.
+    columns; row sums equal g_bar and column sums equal x_star. Raises
+    InconsistentTargets when the two totals differ by more than 1e-9
+    relative.
     """
     x_star = np.asarray(x_star, dtype=float)
     g_bar = np.asarray(g_bar, dtype=float)
@@ -115,13 +110,8 @@ def allocate_subflows(
     x_bar = float(x_star.sum())
     if x_bar == 0.0:
         return np.zeros((g_bar.shape[0], x_star.shape[0]))
-    gap = abs(x_bar - float(g_bar.sum()))
-    if gap > tol * x_bar:
-        if not rescale_fallback:
-            raise InconsistentTargets(
-                f"path total {x_bar} vs flow total {float(g_bar.sum())}"
-            )
-        g_bar = g_bar * (x_bar / float(g_bar.sum()))
+    if abs(x_bar - float(g_bar.sum())) > 1e-9 * x_bar:
+        raise InconsistentTargets(f"path total {x_bar} vs flow total {float(g_bar.sum())}")
     return np.outer(g_bar, x_star) / x_bar
 
 

@@ -58,16 +58,12 @@ class SolverParams:
     pct: float = 1e-4        # ADMM relative change stopping threshold
     alpha: float = 1e-2      # gradient projection: first iteration's trial step, and
                              # the fallback when the Barzilai-Borwein step is undefined
-    sigma: float = 1.0       # CP dual step
-    theta: float = 1.0       # CP extrapolation
     max_iter: int = 20000
     tol: float = 1e-5        # KKT residual target (CP, gradient projection)
 
     def __post_init__(self):
-        if self.r <= 0 or self.alpha <= 0 or self.sigma <= 0:
+        if self.r <= 0 or self.alpha <= 0:
             raise ValueError("step/penalty parameters must be positive")
-        if not 0.0 <= self.theta <= 1.0:
-            raise ValueError("theta must lie in [0, 1]")
         if self.max_iter < 1:
             raise ValueError("max_iter must be positive")
 
@@ -546,20 +542,20 @@ def solve_cp(inst: Instance, params: SolverParams) -> Solution:
 
     The problem is max sum_i wbar_i log x_i s.t. R x <= c (Chambolle & Pock,
     JMIV 2011), with operator R: the dual step takes ``cp_prox_gstar`` of
-    y + sigma R v and the primal step ``cp_prox_f`` of x - tau R^T y with
-    the class weights wbar. The iterates are N-vectors, started at the class
-    sizes K_i (every flow at rate 1), and the flow rates are built once,
-    after the loop.
+    y + R v and the primal step ``cp_prox_f`` of x - tau R^T y with the
+    class weights wbar, and the extrapolation is v = 2 x_new - x. The
+    iterates are N-vectors, started at the class sizes K_i (every flow at
+    rate 1), and the flow rates are built once, after the loop.
 
-    The primal step is tau = 0.95 / (sigma * ||R||_2^2), inside the
-    step-product bound sigma * tau * ||R||^2 < 1 that the iteration's
-    convergence needs.
+    The steps are sigma = 1, theta = 1 and tau = 0.95 / ||R||_2^2, inside
+    the bound sigma * tau * ||R||^2 < 1 under which Chambolle & Pock's
+    Algorithm 1 converges.
     """
     t0 = time.perf_counter()
     classes = _log_classes(inst)
     R, c = inst.routing.dense(), inst.network.capacities
     wbar = classes.k
-    tau = 0.95 / (params.sigma * np.linalg.norm(R, 2) ** 2)
+    tau = 0.95 / np.linalg.norm(R, 2) ** 2
 
     x = classes.sizes.astype(float)
     v = x.copy()
@@ -567,9 +563,9 @@ def solve_cp(inst: Instance, params: SolverParams) -> Solution:
     converged = False
     it = 0
     for it in range(1, params.max_iter + 1):
-        y = cp_prox_gstar(y + params.sigma * (R @ v), params.sigma, c)
+        y = cp_prox_gstar(y + R @ v, 1.0, c)
         x_new = cp_prox_f(x - tau * (R.T @ y), tau, wbar)
-        v = x_new + params.theta * (x_new - x)
+        v = x_new + (x_new - x)
         x = x_new
         if it % 10 == 0 or it == params.max_iter:
             if aggregate_kkt_residual(R, c, wbar, x, y) <= params.tol:

@@ -346,6 +346,9 @@ class TestRunExperiment:
         assert cfg.solver_params("admm").r == 40.0
         assert cfg.solver_params("cp") == SolverParams()
 
+    def test_config_from_empty_json_is_the_default(self):
+        assert ExperimentConfig.from_json({}) == ExperimentConfig()
+
     def test_config_validation(self):
         with pytest.raises(ValueError):
             ExperimentConfig(repetitions=0)
