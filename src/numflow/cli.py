@@ -7,6 +7,7 @@ Subcommands: gen, solve, bench, verify, pwl. Exit codes: 0 success,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from dataclasses import asdict
@@ -25,6 +26,19 @@ EXIT_VERIFY = 3
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         self.exit(EXIT_USAGE, f"{self.prog}: error: {message}\n")
+
+
+class _BadInput(NumflowError):
+    """A value given on the command line or in an input file is invalid."""
+
+
+@contextlib.contextmanager
+def _reading_input():
+    """Report a ValueError or TypeError raised while reading input as a usage error."""
+    try:
+        yield
+    except (ValueError, TypeError) as exc:
+        raise _BadInput(str(exc)) from exc
 
 
 def _build_parser() -> _Parser:
@@ -67,14 +81,15 @@ def _build_parser() -> _Parser:
 def _load_params(path: str | None) -> SolverParams:
     if path is None:
         return SolverParams()
-    with open(path) as fh:
+    with open(path) as fh, _reading_input():
         return SolverParams.from_json(json.load(fh))
 
 
 def _cmd_gen(args) -> int:
     net, default_rule = harness.resolve_topology(args.topology)
     spec = {"family": args.family, "a": args.a}
-    inst = gen_instance(net, args.n, args.seed, spec, args.rule or default_rule)
+    with _reading_input():
+        inst = gen_instance(net, args.n, args.seed, spec, args.rule or default_rule)
     save_instance(inst, args.out)
     return EXIT_OK
 
@@ -98,7 +113,7 @@ def _cmd_solve(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    with open(args.config) as fh:
+    with open(args.config) as fh, _reading_input():
         cfg = harness.ExperimentConfig.from_json(json.load(fh))
     rep = harness.run_experiment(cfg)
     harness.emit_report(rep, args.format, args.out)

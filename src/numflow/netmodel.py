@@ -310,6 +310,7 @@ def instance_to_json(inst: Instance) -> dict:
         "nodes": inst.network.node_count,
         "links": [{"tail": l.tail, "head": l.head, "cap": l.cap} for l in inst.network.links],
         "gateways": list(inst.network.gateways),
+        **({"allow_parallel": True} if inst.network.allow_parallel else {}),
         "classes": [
             {
                 "src": cls.source,
@@ -330,6 +331,7 @@ def instance_from_json(doc: dict) -> Instance:
         node_count=int(doc["nodes"]),
         links=tuple(Link(int(l["tail"]), int(l["head"]), float(l["cap"])) for l in doc["links"]),
         gateways=tuple(int(g) for g in doc.get("gateways", [])),
+        allow_parallel=bool(doc.get("allow_parallel", False)),
     )
     classes = tuple(
         FlowClass(

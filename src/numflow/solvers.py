@@ -38,6 +38,8 @@ HiGHS (``scipy.optimize.linprog``) on a sparse constraint matrix.
 
 from __future__ import annotations
 
+import math
+import numbers
 import time
 from dataclasses import asdict, dataclass
 
@@ -62,10 +64,12 @@ class SolverParams:
     tol: float = 1e-5        # KKT residual target (CP, gradient projection)
 
     def __post_init__(self):
-        if self.r <= 0 or self.alpha <= 0:
-            raise ValueError("step/penalty parameters must be positive")
-        if self.max_iter < 1:
-            raise ValueError("max_iter must be positive")
+        if not all(math.isfinite(v) and v > 0 for v in (self.r, self.alpha)):
+            raise ValueError("r and alpha must be finite and positive")
+        if not all(math.isfinite(v) and v >= 0 for v in (self.pct, self.tol)):
+            raise ValueError("pct and tol must be finite and nonnegative")
+        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+            raise ValueError("max_iter must be an integer >= 1")
 
     def to_json(self) -> dict:
         return asdict(self)

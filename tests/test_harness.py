@@ -500,6 +500,26 @@ class TestCli:
     def test_missing_file_usage_error(self, tmp_path):
         assert cli_main(["solve", str(tmp_path / "absent.json"), "--solver", "admm"]) == 1
 
+    def test_bad_gen_spec_usage_error(self, tmp_path, capsys):
+        out = tmp_path / "inst.json"
+        argv = ["gen", "--n", "3", "--family", "power", "--a", "0.5", "--out", str(out)]
+        assert cli_main(argv) == 1
+        assert capsys.readouterr().err == "numflow: exponent must be >= 1\n"
+
+    @pytest.mark.parametrize("doc", [{"r": -1}, {"r": "40"}])
+    def test_bad_params_usage_error(self, tmp_path, capsys, doc):
+        inst = self._gen(tmp_path)
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps(doc))
+        assert cli_main(["solve", str(inst), "--solver", "admm", "--params", str(params)]) == 1
+        assert capsys.readouterr().err.startswith("numflow: ")
+
+    def test_bad_bench_config_usage_error(self, tmp_path, capsys):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"solvers": ["magic"]}))
+        assert cli_main(["bench", str(cfg), "--out", str(tmp_path / "rep.csv")]) == 1
+        assert capsys.readouterr().err == "numflow: unknown solver: magic\n"
+
     def test_bench_emits_report(self, tmp_path):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(

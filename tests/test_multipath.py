@@ -21,6 +21,8 @@ from numflow.netmodel import (
     Network,
     dijkstra_path,
     gen_instance,
+    instance_from_json,
+    instance_to_json,
     routing_matrix,
     small_topology,
 )
@@ -42,6 +44,13 @@ def _parallel_pair(caps=(10.0, 10.0)):
     net = Network(2, (Link(1, 2, caps[0]), Link(1, 2, caps[1])), allow_parallel=True)
     cls = FlowClass(1, 2, ((1,), (2,)), (WeightedLog(1.0),))
     return Instance(net, (cls,), routing_matrix(net, (cls,)), "multipath", 2, 0)
+
+
+def test_parallel_links_json_round_trip():
+    doc = instance_to_json(_parallel_pair())
+    again = instance_from_json(doc)
+    assert again.network.allow_parallel
+    assert instance_to_json(again) == doc
 
 
 class TestKPaths:

@@ -221,6 +221,7 @@ class TestGenInstance:
 def test_instance_json_round_trip(tmp_path):
     inst = gen_instance(small_topology(), 4, seed=11)
     doc = instance_to_json(inst)
+    assert "allow_parallel" not in doc
     again = instance_from_json(doc)
     assert instance_to_json(again) == doc
     path = tmp_path / "inst.json"

@@ -82,6 +82,19 @@ class TestSolverParams:
         with pytest.raises(ValueError):
             SolverParams(max_iter=0)
 
+    @pytest.mark.parametrize("bad", [
+        {"r": math.nan}, {"r": math.inf}, {"alpha": -1.0}, {"alpha": math.inf},
+        {"pct": -1.0}, {"pct": math.nan}, {"tol": -1.0}, {"tol": math.nan},
+        {"max_iter": 2.5},
+    ])
+    def test_rejects_values_it_cannot_run(self, bad):
+        with pytest.raises(ValueError):
+            SolverParams(**bad)
+
+    def test_zero_tolerances_and_numpy_integers_are_legal(self):
+        p = SolverParams(pct=0.0, tol=0.0, max_iter=np.int64(5))
+        assert p.tol == 0.0 and p.max_iter == 5
+
     def test_json_round_trip(self):
         p = SolverParams(r=40.0, alpha=0.5, max_iter=500, tol=1e-6)
         assert SolverParams.from_json(p.to_json()) == p
