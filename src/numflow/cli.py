@@ -12,9 +12,11 @@ import json
 import sys
 from dataclasses import asdict
 
+import numpy as np
+
 from . import harness, pwl
 from .errors import MaxIterExceeded, NonConvergence, NumflowError
-from .netmodel import gen_instance, load_instance, save_instance
+from .netmodel import gen_instance, load_instance, read_json, save_instance, write_text
 from .solvers import SolverParams, solve_pwl_aggregate
 
 EXIT_OK = 0
@@ -34,7 +36,7 @@ class _BadInput(NumflowError):
 
 @contextlib.contextmanager
 def _reading_input():
-    """Report a ValueError or TypeError raised while reading input as a usage error."""
+    """Report a ValueError or TypeError raised by a command-line value as a usage error."""
     try:
         yield
     except (ValueError, TypeError) as exc:
@@ -81,8 +83,15 @@ def _build_parser() -> _Parser:
 def _load_params(path: str | None) -> SolverParams:
     if path is None:
         return SolverParams()
-    with open(path) as fh, _reading_input():
-        return SolverParams.from_json(json.load(fh))
+    return read_json(path, SolverParams.from_json)
+
+
+def _solution_from_json(doc: dict):
+    """x, u, rho and mu of a solution document as float arrays; rho and mu may be None."""
+    def floats(v):
+        return None if v is None else np.asarray(v, dtype=float)
+
+    return floats(doc["x"]), [floats(ui) for ui in doc["u"]], floats(doc.get("rho")), floats(doc.get("mu"))
 
 
 def _cmd_gen(args) -> int:
@@ -105,16 +114,14 @@ def _cmd_solve(args) -> int:
         sol = harness.SOLVERS[args.solver](inst, params)
     payload = json.dumps(sol.to_json(), indent=2) + "\n"
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(payload)
+        write_text(args.out, payload)
     else:
         sys.stdout.write(payload)
     return EXIT_OK if sol.converged else EXIT_NOCONV
 
 
 def _cmd_bench(args) -> int:
-    with open(args.config) as fh, _reading_input():
-        cfg = harness.ExperimentConfig.from_json(json.load(fh))
+    cfg = read_json(args.config, harness.ExperimentConfig.from_json)
     rep = harness.run_experiment(cfg)
     harness.emit_report(rep, args.format, args.out)
     return EXIT_OK if all(r.converged for r in rep.rows) else EXIT_NOCONV
@@ -124,13 +131,11 @@ def _cmd_verify(args) -> int:
     from .utility import kkt_check
 
     inst = load_instance(args.instance)
-    with open(args.solution) as fh:
-        doc = json.load(fh)
-    lam = doc.get("rho")
-    if lam is None:
+    x, u, rho, mu = read_json(args.solution, _solution_from_json)
+    if rho is None:
         print("solution carries no link duals", file=sys.stderr)
         return EXIT_VERIFY
-    report = kkt_check(inst, doc["x"], doc["u"], lam, tol=args.tol, mu=doc.get("mu"))
+    report = kkt_check(inst, x, u, rho, tol=args.tol, mu=mu)
     print(json.dumps({
         **{name: float(value) for name, value in asdict(report).items()},
         "max_residual": float(report.max_residual),
@@ -140,10 +145,7 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_pwl(args) -> int:
-    fns = []
-    for path in args.files:
-        with open(path) as fh:
-            fns.append(pwl.pwl_from_json(json.load(fh)))
+    fns = [read_json(path, pwl.pwl_from_json) for path in args.files]
     if args.action == "eval":
         if args.x is None:
             print("eval requires --x", file=sys.stderr)
@@ -176,7 +178,7 @@ def main(argv: list[str] | None = None) -> int:
     except NumflowError as exc:
         print(f"numflow: {exc}", file=sys.stderr)
         return EXIT_NOCONV if isinstance(exc, (NonConvergence, MaxIterExceeded)) else EXIT_USAGE
-    except OSError as exc:
+    except OSError as exc:  # writing the result to stdout
         print(f"numflow: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

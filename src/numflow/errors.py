@@ -58,4 +58,4 @@ class NonConvergence(NumflowError):
 
 
 class IoError(NumflowError):
-    """Report or instance file could not be written/read."""
+    """A file could not be read, parsed or written."""

@@ -18,13 +18,14 @@ import io
 import json
 import statistics
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 import scipy.optimize
 
-from .errors import IoError, NonConvergence, NotSupportedUtility
-from .netmodel import Instance, Network, gen_instance, iridium_topology, load_instance, small_topology
+from .errors import NonConvergence, NotSupportedUtility
+from .netmodel import (Instance, Network, gen_instance, iridium_topology, load_instance, small_topology,
+                       write_text)
 from .rng import mix
 from .solvers import SolverParams, Solution, _apportioned, solve_admm, solve_cp, solve_gradproj
 from .utility import FairClasses, evaluate, kkt_check_single_path
@@ -185,41 +186,16 @@ class Report:
     seed: int = 0
 
     def to_json(self) -> dict:
-        return {
-            "version": self.version,
-            "seed": self.seed,
-            "rows": [
-                {
-                    "solver": r.solver,
-                    "N": r.n,
-                    "f_star": r.f_star,
-                    "l_max": r.l_max,
-                    "n_iter": r.n_iter,
-                    "t_sec": r.t_sec,
-                    "t_mean_sec": r.t_mean_sec,
-                    "converged": r.converged,
-                    "error": r.error,
-                }
-                for r in self.rows
-            ],
-        }
+        rows = [{("N" if k == "n" else k): v for k, v in asdict(r).items()} for r in self.rows]
+        return {"version": self.version, "seed": self.seed, "rows": rows}
 
     @classmethod
     def from_json(cls, doc: dict) -> "Report":
-        rows = tuple(
-            ReportRow(
-                solver=r["solver"],
-                n=int(r["N"]),
-                f_star=float(r["f_star"]),
-                l_max=float(r["l_max"]),
-                n_iter=int(r["n_iter"]),
-                t_sec=float(r["t_sec"]),
-                t_mean_sec=float(r["t_mean_sec"]),
-                converged=bool(r["converged"]),
-                error=r.get("error"),
-            )
-            for r in doc["rows"]
-        )
+        def row(r: dict) -> ReportRow:
+            r = {("n" if k == "N" else k): v for k, v in r.items()}
+            return ReportRow(**{f.name: r[f.name] for f in fields(ReportRow) if f.name in r})
+
+        rows = tuple(row(r) for r in doc["rows"])
         return cls(rows=rows, version=doc.get("version", VERSION), seed=int(doc.get("seed", 0)))
 
 
@@ -318,8 +294,4 @@ def emit_report(rep: Report, fmt: str, path: str) -> None:
         payload = json.dumps(rep.to_json(), indent=2) + "\n"
     else:
         raise ValueError(f"unknown report format: {fmt}")
-    try:
-        with open(path, "w") as fh:
-            fh.write(payload)
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    write_text(path, payload)

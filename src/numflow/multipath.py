@@ -56,19 +56,21 @@ def gen_multipath_instance(
     Same draw order as single-path generation; pairs without enough
     link-disjoint paths are skipped in selection order.
     """
+    if n_classes < 0:
+        raise ValueError(f"class count must be >= 0, got {n_classes}")
     pairs = admissible_pairs(net, endpoint_rule)
     rng = MixRng(seed)
     order = rng.sample(len(pairs), len(pairs))
     chosen = []
     for idx in order:
+        if len(chosen) == n_classes:
+            break
         src, dst = pairs[idx]
         try:
             paths = k_paths(net, src, dst, paths_per_class)
         except InsufficientPaths:
             continue
         chosen.append((src, dst, paths))
-        if len(chosen) == n_classes:
-            break
     if len(chosen) < n_classes:
         raise TooManyClasses(f"only {len(chosen)} pairs admit {paths_per_class} disjoint paths")
     classes = []

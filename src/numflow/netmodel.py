@@ -89,10 +89,6 @@ class FlowClass:
         if not self.flows:
             raise ValueError("class needs at least one flow")
 
-    @property
-    def path(self) -> tuple[int, ...]:
-        return self.paths[0]
-
 
 @dataclass(frozen=True)
 class RoutingMatrix:
@@ -352,18 +348,38 @@ def instance_from_json(doc: dict) -> Instance:
     )
 
 
-def save_instance(inst: Instance, path: str) -> None:
+def read_json(path: str, parse):
+    """``parse`` applied to the JSON object stored at ``path``.
+
+    Every way the file can fail, from a missing file or malformed JSON to a
+    value or key that ``parse`` rejects, raises :class:`IoError`.
+    """
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise TypeError(f"{path}: expected a JSON object")
+        return parse(doc)
+    except json.JSONDecodeError as exc:
+        raise IoError(f"{path}: {exc}") from exc
+    except KeyError as exc:
+        raise IoError(f"missing key {exc}") from exc
+    except (OSError, ValueError, TypeError) as exc:
+        raise IoError(str(exc)) from exc
+
+
+def write_text(path: str, text: str) -> None:
+    """Write ``text`` to ``path``; a failure raises :class:`IoError`."""
     try:
         with open(path, "w") as fh:
-            json.dump(instance_to_json(inst), fh, indent=2)
-            fh.write("\n")
+            fh.write(text)
     except OSError as exc:
         raise IoError(str(exc)) from exc
+
+
+def save_instance(inst: Instance, path: str) -> None:
+    write_text(path, json.dumps(instance_to_json(inst), indent=2) + "\n")
 
 
 def load_instance(path: str) -> Instance:
-    try:
-        with open(path) as fh:
-            return instance_from_json(json.load(fh))
-    except OSError as exc:
-        raise IoError(str(exc)) from exc
+    return read_json(path, instance_from_json)

@@ -45,11 +45,6 @@ class PwlConcave:
         if any(m[i + 1] >= m[i] for i in range(len(m) - 1)):
             raise ValueError("slopes must be strictly decreasing")
 
-    @property
-    def total_capacity(self) -> float:
-        """Largest argument with positive marginal value (the last breakpoint)."""
-        return self.breakpoints[-1]
-
     def __call__(self, x: float) -> float:
         return pwl_eval(self, x)
 

@@ -167,7 +167,7 @@ class FairClasses:
     so ``split`` apportions any class rates without the prices. For a log
     class k_i is the class weight wbar_i. A class of any other family, or
     whose negative-power flows differ in exponent, raises
-    NotSupportedUtility.
+    NotSupportedUtility; no classes at all raise DomainError.
     """
 
     def __init__(self, flows_by_class):
@@ -186,6 +186,8 @@ class FairClasses:
             a.append(a_i)
             k.append(np.sum(q_i))
             q.append(q_i)
+        if not weights:
+            raise DomainError("the instance has no flow classes")
         sizes = [len(w) for w in weights]
         ends = np.cumsum(sizes).tolist()
         self.weights = tuple(weights)

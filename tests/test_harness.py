@@ -11,7 +11,7 @@ import pytest
 
 from numflow import harness
 from numflow.cli import main as cli_main
-from numflow.errors import MaxIterExceeded, NonConvergence
+from numflow.errors import DomainError, MaxIterExceeded, NonConvergence
 from numflow.harness import (
     ExperimentConfig,
     Report,
@@ -27,6 +27,7 @@ from numflow.netmodel import (
     Link,
     Network,
     gen_instance,
+    instance_to_json,
     iridium_topology,
     routing_matrix,
     save_instance,
@@ -35,7 +36,7 @@ from numflow.netmodel import (
 from numflow.multipath import gen_multipath_instance, solve_multipath
 from numflow.pwl import PwlConcave
 from numflow.rng import mix
-from numflow.solvers import SolverParams, solve_admm, solve_cp
+from numflow.solvers import SolverParams, solve_admm, solve_cp, solve_gradproj
 from numflow.utility import (
     FairClasses,
     NegPower,
@@ -218,6 +219,23 @@ class TestAggregateDual:
         assert np.max(np.abs(sol.rho - ref.rho)) <= 1e-10
 
 
+@pytest.mark.parametrize("solve", [
+    lambda inst: solve_admm(inst, SolverParams()),
+    lambda inst: solve_cp(inst, SolverParams()),
+    lambda inst: solve_gradproj(inst, SolverParams()),
+    oracle_solve,
+], ids=["admm", "cp", "gradproj", "oracle"])
+def test_no_classes_is_a_domain_error(solve):
+    with pytest.raises(DomainError, match="no flow classes"):
+        solve(gen_instance(small_topology(), 0, seed=1))
+
+
+def test_multipath_no_classes_is_a_domain_error():
+    inst = gen_multipath_instance(small_topology(), 0, 1, paths_per_class=2)
+    with pytest.raises(DomainError, match="no flow classes"):
+        solve_multipath(inst, SolverParams())
+
+
 class TestOracle:
     def test_single_link_analytic(self):
         inst = _single_link_instance([[WeightedLog(1.0)]])
@@ -392,6 +410,33 @@ class TestReports:
         again = Report.from_json(json.loads(path.read_text()))
         assert again == rep
 
+    def test_json_bytes_match_the_field_by_field_form(self, tmp_path):
+        # reference: every row key written out by hand, in the report's order
+        rows = self.ROWS + (ReportRow("gradproj", 5, float("nan"), float("nan"), 0, 0.0, 0.0,
+                                      False, "MaxIterExceeded: no ascent step"),)
+        rep = Report(rows=rows, seed=9)
+        reference = {
+            "version": rep.version,
+            "seed": rep.seed,
+            "rows": [
+                {
+                    "solver": r.solver,
+                    "N": r.n,
+                    "f_star": r.f_star,
+                    "l_max": r.l_max,
+                    "n_iter": r.n_iter,
+                    "t_sec": r.t_sec,
+                    "t_mean_sec": r.t_mean_sec,
+                    "converged": r.converged,
+                    "error": r.error,
+                }
+                for r in rep.rows
+            ],
+        }
+        path = tmp_path / "rep.json"
+        emit_report(rep, "json", str(path))
+        assert path.read_bytes() == (json.dumps(reference, indent=2) + "\n").encode()
+
     def test_json_without_error_field_loads(self):
         doc = Report(rows=self.ROWS, seed=9).to_json()
         for row in doc["rows"]:
@@ -519,6 +564,56 @@ class TestCli:
         cfg.write_text(json.dumps({"solvers": ["magic"]}))
         assert cli_main(["bench", str(cfg), "--out", str(tmp_path / "rep.csv")]) == 1
         assert capsys.readouterr().err == "numflow: unknown solver: magic\n"
+
+    @pytest.mark.parametrize("argv", [
+        "solve {d}/brace.json --solver admm",
+        "solve {d}/negative_cap.json --solver admm",
+        "solve {d}/no_links.json --solver admm",
+        "solve {d}/list.json --solver admm",
+        "bench {d}/list.json --out {d}/rep.csv",
+        "verify {d}/inst.json {d}/brace.json",
+        "verify {d}/inst.json {d}/sol_without_x.json",
+        "verify {d}/inst.json {d}/sol_bad_rho.json",
+        "pwl eval {d}/brace.json --x 1",
+        "pwl eval {d}/rising_slopes.json --x 1",
+        "gen --topology {d}/brace.json --n 2 --out {d}/out.json",
+        "solve {d}/inst.json --solver admm --out {d}/absent/sol.json",
+    ])
+    def test_bad_file_usage_error(self, tmp_path, capsys, argv):
+        inst = gen_instance(small_topology(), 3, seed=1)
+        doc = instance_to_json(inst)
+        bad_rho = {"x": [1.0] * 3, "u": [[1.0] * len(c.flows) for c in inst.classes], "rho": "abc"}
+        negative_cap = json.loads(json.dumps(doc))
+        negative_cap["links"][0]["cap"] = -1.0
+        no_links = {k: v for k, v in doc.items() if k != "links"}
+        files = {
+            "inst.json": json.dumps(doc),
+            "brace.json": "{",
+            "negative_cap.json": json.dumps(negative_cap),
+            "no_links.json": json.dumps(no_links),
+            "list.json": "[1, 2]",
+            "sol_without_x.json": json.dumps({"u": [], "rho": []}),
+            "sol_bad_rho.json": json.dumps(bad_rho),
+            "rising_slopes.json": json.dumps({"breakpoints": [0, 1], "slopes": [0, 1]}),
+        }
+        for name, text in files.items():
+            (tmp_path / name).write_text(text)
+        assert cli_main([arg.format(d=tmp_path) for arg in argv.split()]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numflow: ") and err.count("\n") == 1
+        assert "Traceback" not in err
+
+    def test_missing_key_names_the_key(self, tmp_path, capsys):
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps({"version": 1, "nodes": 2}))
+        assert cli_main(["solve", str(path), "--solver", "admm"]) == 1
+        assert capsys.readouterr().err == "numflow: missing key 'links'\n"
+
+    @pytest.mark.parametrize("solver", ["admm", "cp", "gradproj", "oracle"])
+    def test_solve_without_classes_usage_error(self, tmp_path, capsys, solver):
+        inst = self._gen(tmp_path, n=0)
+        assert cli_main(["solve", str(inst), "--solver", solver]) == 1
+        assert capsys.readouterr().err == "numflow: the instance has no flow classes\n"
 
     def test_bench_emits_report(self, tmp_path):
         cfg = tmp_path / "cfg.json"

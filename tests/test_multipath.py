@@ -53,6 +53,17 @@ def test_parallel_links_json_round_trip():
     assert instance_to_json(again) == doc
 
 
+@pytest.mark.parametrize("n_classes, paths_per_class", [(0, 1), (0, 2), (-1, 2)])
+def test_gen_class_count_bounds(n_classes, paths_per_class):
+    # as gen_instance: no classes for a count of 0, ValueError below it
+    args = (small_topology(), n_classes, 1, paths_per_class)
+    if n_classes < 0:
+        with pytest.raises(ValueError):
+            gen_multipath_instance(*args)
+    else:
+        assert gen_multipath_instance(*args).classes == ()
+
+
 class TestKPaths:
     def test_diamond_both_paths(self):
         paths = k_paths(_diamond(), 1, 4, 2)
