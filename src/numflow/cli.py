@@ -58,8 +58,7 @@ def _build_parser() -> _Parser:
 
     p_solve = sub.add_parser("solve", help="solve one instance, print Solution JSON")
     p_solve.add_argument("instance")
-    p_solve.add_argument("--solver", required=True,
-                         choices=["admm", "cp", "gradproj", "pwl", "oracle"])
+    p_solve.add_argument("--solver", required=True, choices=list(_solvers()))
     p_solve.add_argument("--params", default=None, help="SolverParams JSON file")
     p_solve.add_argument("--out", default=None)
 
@@ -78,6 +77,13 @@ def _build_parser() -> _Parser:
     p_pwl.add_argument("files", nargs="+")
     p_pwl.add_argument("--x", type=float, default=None, help="evaluation point for eval")
     return parser
+
+
+def _solvers() -> dict:
+    """Name -> ``fn(inst, params)`` of every solver ``numflow solve`` runs; built
+    per call, so it sees the current ``harness.SOLVERS`` and ``oracle_solve``."""
+    return {**harness.SOLVERS, "pwl": solve_pwl_aggregate,
+            "oracle": lambda inst, params: harness.oracle_solve(inst, tol=params.tol)}
 
 
 def _load_params(path: str | None) -> SolverParams:
@@ -105,13 +111,7 @@ def _cmd_gen(args) -> int:
 
 def _cmd_solve(args) -> int:
     inst = load_instance(args.instance)
-    params = _load_params(args.params)
-    if args.solver == "pwl":
-        sol = solve_pwl_aggregate(inst, params)
-    elif args.solver == "oracle":
-        sol = harness.oracle_solve(inst, tol=params.tol)
-    else:
-        sol = harness.SOLVERS[args.solver](inst, params)
+    sol = _solvers()[args.solver](inst, _load_params(args.params))
     payload = json.dumps(sol.to_json(), indent=2) + "\n"
     if args.out:
         write_text(args.out, payload)

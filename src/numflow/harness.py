@@ -99,7 +99,7 @@ def oracle_solve(inst: Instance, tol: float = 1e-7) -> Solution:
     return sol
 
 
-def _newton_polish(rho, R, c, rates, rounds: int = 40):
+def _newton_polish(rho, R, c, rates):
     """Drive the saturated-link equations to machine precision.
 
     Solves R_A x(rho) = c_A over the links with positive price by damped
@@ -109,7 +109,7 @@ def _newton_polish(rho, R, c, rates, rounds: int = 40):
     last rho if the SVD itself fails.
     """
     rho = rho.copy()
-    for _ in range(rounds):
+    for _ in range(40):
         active = np.where(rho > 1e-9)[0]
         if len(active) == 0:
             return rho
@@ -143,6 +143,8 @@ class ExperimentConfig:
     endpoint_rule: str | None = None
 
     def __post_init__(self):
+        if not isinstance(self.topology, str):
+            raise TypeError(f"'topology' must be a string, got {type(self.topology).__name__}")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         for s in self.solvers:
@@ -154,12 +156,22 @@ class ExperimentConfig:
 
     @classmethod
     def from_json(cls, doc: dict) -> "ExperimentConfig":
-        """The config a document describes; absent keys keep the field defaults."""
+        """The config a document describes; absent keys keep the field defaults.
+
+        ``params`` and each entry in it must be JSON objects, ``n_values``
+        and ``solvers`` JSON arrays; otherwise TypeError names the key.
+        """
+        def typed(key, kind, value):
+            if not isinstance(value, kind):
+                raise TypeError(f"{key!r} must be a JSON {'object' if kind is dict else 'array'}")
+            return value
+
         convert = {
-            "n_values": lambda ns: tuple(int(n) for n in ns),
+            "n_values": lambda ns: tuple(int(n) for n in typed("n_values", list, ns)),
             "seed": int,
-            "solvers": tuple,
-            "params": lambda ps: {name: SolverParams.from_json(p) for name, p in ps.items()},
+            "solvers": lambda ss: tuple(typed("solvers", list, ss)),
+            "params": lambda ps: {name: SolverParams.from_json(typed(f"params.{name}", dict, p))
+                                  for name, p in typed("params", dict, ps).items()},
             "repetitions": int,
         }
         return cls(**{k: convert[k](v) if k in convert else v

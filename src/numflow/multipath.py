@@ -17,11 +17,11 @@ import time
 import numpy as np
 
 from .errors import InconsistentTargets, InsufficientPaths, NoPath, TooManyClasses
-from .netmodel import FlowClass, Instance, Network, admissible_pairs, dijkstra_path, routing_matrix
+from .netmodel import Instance, Network, admissible_pairs, dijkstra_path, draw_classes, routing_matrix
 from .rng import MixRng
 from .solvers import Solution, SolverParams, _apportioned, _gradproj_loop, _log_classes
 from .solvers import project_polytope_with_duals  # noqa: F401  (patched by the benchmark tracer)
-from .utility import KktReport, WeightedLog, kkt_check
+from .utility import KktReport, kkt_check
 
 
 def k_paths(net: Network, src: int, dst: int, count: int) -> tuple[tuple[int, ...], ...]:
@@ -49,16 +49,18 @@ def gen_multipath_instance(
     n_classes: int,
     seed: int,
     paths_per_class: int,
-    endpoint_rule: str = "all-pairs",
 ) -> Instance:
-    """Seeded multipath instance with weighted-log flows.
+    """Seeded multipath instance with weighted-log flows over all node pairs.
 
-    Same draw order as single-path generation; pairs without enough
-    link-disjoint paths are skipped in selection order.
+    Draws with :class:`numflow.rng.MixRng` seeded with ``seed``: first a
+    permutation of every ordered node pair, taken in order and skipping
+    pairs without ``paths_per_class`` link-disjoint paths (``k_paths``)
+    until ``n_classes`` are chosen; then the flows of each class by
+    ``netmodel.draw_classes``, as single-path generation draws them.
     """
     if n_classes < 0:
         raise ValueError(f"class count must be >= 0, got {n_classes}")
-    pairs = admissible_pairs(net, endpoint_rule)
+    pairs = admissible_pairs(net, "all-pairs")
     rng = MixRng(seed)
     order = rng.sample(len(pairs), len(pairs))
     chosen = []
@@ -73,12 +75,7 @@ def gen_multipath_instance(
         chosen.append((src, dst, paths))
     if len(chosen) < n_classes:
         raise TooManyClasses(f"only {len(chosen)} pairs admit {paths_per_class} disjoint paths")
-    classes = []
-    for src, dst, paths in chosen:
-        k = rng.randint(10, 20)
-        flows = tuple(WeightedLog(rng.uniform()) for _ in range(k))
-        classes.append(FlowClass(src, dst, paths, flows))
-    classes = tuple(classes)
+    classes = draw_classes(rng, chosen, {"family": "log"})
     return Instance(net, classes, routing_matrix(net, classes), "multipath", paths_per_class, seed)
 
 

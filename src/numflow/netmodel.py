@@ -277,15 +277,19 @@ def gen_instance(
         raise TooManyClasses(f"{n_classes} classes requested, {len(pairs)} pairs admissible")
     rng = MixRng(seed)
     chosen = [pairs[i] for i in rng.sample(len(pairs), n_classes)]
+    classes = draw_classes(rng, [(s, d, (dijkstra_path(net, s, d),)) for s, d in chosen], spec)
+    return Instance(net, classes, routing_matrix(net, classes), "single-path", 1, seed)
+
+
+def draw_classes(rng: MixRng, endpoints: Sequence[tuple], spec: dict) -> tuple[FlowClass, ...]:
+    """One class per (src, dst, paths) of ``endpoints``, each drawing K uniform
+    on {10,...,20}, then K weights uniform on (0,1) made flows by ``spec``."""
     classes = []
-    for src, dst in chosen:
+    for src, dst, paths in endpoints:
         k = rng.randint(10, 20)
         weights = [rng.uniform() for _ in range(k)]
-        flows = tuple(_make_flow(spec, w) for w in weights)
-        path = dijkstra_path(net, src, dst)
-        classes.append(FlowClass(src, dst, (path,), flows))
-    classes = tuple(classes)
-    return Instance(net, classes, routing_matrix(net, classes), "single-path", 1, seed)
+        classes.append(FlowClass(src, dst, paths, tuple(_make_flow(spec, w) for w in weights)))
+    return tuple(classes)
 
 
 def _make_flow(spec: dict, w: float) -> UtilityFamily:

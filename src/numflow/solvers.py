@@ -49,7 +49,7 @@ import scipy.optimize
 import scipy.sparse
 
 from .errors import DimensionMismatch, DomainError, MaxIterExceeded, NotSupportedUtility
-from .netmodel import Instance, RoutingMatrix
+from .netmodel import Instance
 from .pwl import pwl_apportion, pwl_eval
 from .utility import FairClasses, PwlUtility, aggregate_kkt_residual
 
@@ -142,9 +142,9 @@ class SpdFactor:
         return self.solve_split(b, np.zeros(self._R.shape[0]))[0]
 
 
-def spd_prefactor(R: RoutingMatrix | np.ndarray) -> SpdFactor:
-    dense = R.dense() if isinstance(R, RoutingMatrix) else np.asarray(R, dtype=float)
-    return SpdFactor(dense)
+def spd_prefactor(R: np.ndarray) -> SpdFactor:
+    """``SpdFactor`` of the dense routing matrix ``R``."""
+    return SpdFactor(np.asarray(R, dtype=float))
 
 
 def _log_classes(inst: Instance, single_path: bool = True) -> FairClasses:
@@ -200,7 +200,7 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
     wbar = classes.k
     four_r_wbar = 4.0 * r * wbar
     w_log_w = float(classes.w @ np.log(classes.w))
-    factor = spd_prefactor(inst.routing)
+    factor = spd_prefactor(R)
 
     # start from u = 1 for every flow: class sums K_i, log objective 0, so
     # s = x, R x = y and zero multipliers put the Lagrangian at exactly 0
@@ -389,28 +389,28 @@ class _PolytopeProjector:
         return B, Z, F, K, q, np.ascontiguousarray(M.T), NT
 
 
-def project_polytope(x, R: RoutingMatrix | np.ndarray, c) -> np.ndarray:
-    """Euclidean projection onto {x' : R x' <= c, x' >= 0}."""
+def project_polytope(x, R: np.ndarray, c) -> np.ndarray:
+    """Euclidean projection onto {x' : R x' <= c, x' >= 0}, R a dense array."""
     proj, _ = project_polytope_with_duals(x, R, c)
     return proj
 
 
-def project_polytope_with_duals(x, R: RoutingMatrix | np.ndarray, c):
+def project_polytope_with_duals(x, R: np.ndarray, c):
     """Projection plus multipliers (link rows first, nonnegativity rows after).
 
-    One cold ``_project_qp`` solve; no state is kept between calls. Raises
-    DomainError when a capacity is negative or not finite (x = 0 must be
-    feasible) or when x is not finite.
+    ``R`` is the dense routing matrix. One cold ``_project_qp`` solve; no
+    state is kept between calls. Raises DomainError when a capacity is
+    negative or not finite (x = 0 must be feasible) or when x is not finite.
     """
-    dense = R.dense() if isinstance(R, RoutingMatrix) else np.asarray(R, dtype=float)
+    R = np.asarray(R, dtype=float)
     c = np.asarray(c, dtype=float)
     z = np.asarray(x, dtype=float)
-    if dense.shape[0] != c.shape[0] or dense.shape[1] != z.shape[0]:
+    if R.shape[0] != c.shape[0] or R.shape[1] != z.shape[0]:
         raise DimensionMismatch("projection dimensions inconsistent")
     if not np.all(np.isfinite(z)):
         raise DomainError("the point to project must be finite")
-    G, h = _polytope_constraints(dense, c)
-    return _project_qp(z, G, h, 10 * sum(dense.shape))
+    G, h = _polytope_constraints(R, c)
+    return _project_qp(z, G, h, 10 * sum(R.shape))
 
 
 # Halvings of the trial step that one projected-gradient step may take

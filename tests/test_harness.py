@@ -565,6 +565,30 @@ class TestCli:
         assert cli_main(["bench", str(cfg), "--out", str(tmp_path / "rep.csv")]) == 1
         assert capsys.readouterr().err == "numflow: unknown solver: magic\n"
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"params": [1]}, "'params'"),
+        ({"params": {"admm": "abc"}}, "'params.admm'"),
+        ({"solvers": "admm"}, "'solvers'"),
+        ({"n_values": 5}, "'n_values'"),
+    ])
+    def test_bench_config_of_wrong_type_usage_error(self, tmp_path, capsys, doc, key):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(doc))
+        assert cli_main(["bench", str(cfg), "--out", str(tmp_path / "rep.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numflow: ") and key in err and err.count("\n") == 1
+
+    def test_bench_topology_must_be_a_string(self, tmp_path, capsys, monkeypatch):
+        # an int topology must not reach open(), which reads it as a file descriptor
+        def fail(path):
+            raise AssertionError(f"load_instance({path!r}) called")
+
+        monkeypatch.setattr(harness, "load_instance", fail)
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"topology": 7, "n_values": [3], "repetitions": 1}))
+        assert cli_main(["bench", str(cfg), "--out", str(tmp_path / "rep.csv")]) == 1
+        assert capsys.readouterr().err == "numflow: 'topology' must be a string, got int\n"
+
     @pytest.mark.parametrize("argv", [
         "solve {d}/brace.json --solver admm",
         "solve {d}/negative_cap.json --solver admm",
@@ -633,6 +657,43 @@ class TestCli:
         lines = out.read_text().strip().split("\n")
         assert lines[0] == "solver,N,f_star,l_max,n_iter,t_sec,converged"
         assert len(lines) == 2
+
+    def test_solve_without_out_writes_stdout(self, tmp_path, capsys):
+        inst = self._gen(tmp_path)
+        assert cli_main(["solve", str(inst), "--solver", "oracle"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["converged"] is True and len(doc["x"]) == 5 and len(doc["rho"]) == 14
+
+    def test_gen_iridium_is_gateway_constrained(self, tmp_path):
+        out = tmp_path / "inst.json"
+        assert cli_main(["gen", "--topology", "iridium", "--n", "20", "--out", str(out)]) == 0
+        doc = json.loads(out.read_text())
+        gateways = set(iridium_topology().gateways)
+        assert doc["gateways"] == sorted(gateways) and len(doc["classes"]) == 20
+        assert all(c["src"] in gateways or c["dst"] in gateways for c in doc["classes"])
+
+    def test_gen_on_an_instance_file_keeps_its_network(self, tmp_path):
+        net = Network(3, (Link(1, 2, 4.0), Link(2, 3, 5.0), Link(3, 1, 6.0), Link(2, 1, 7.0)))
+        src = tmp_path / "src.json"
+        save_instance(gen_instance(net, 2, seed=1), str(src))
+        out = tmp_path / "inst.json"
+        assert cli_main(["gen", "--topology", str(src), "--n", "4", "--seed", "2",
+                         "--out", str(out)]) == 0
+        assert json.loads(out.read_text()) == instance_to_json(gen_instance(net, 4, seed=2))
+
+    def test_pwl_eval_requires_x(self, tmp_path, capsys):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"breakpoints": [0.0, 2.0], "slopes": [3.0, 0.0]}))
+        assert cli_main(["pwl", "eval", str(f)]) == 1
+        assert capsys.readouterr() == ("", "eval requires --x\n")
+
+    def test_pwl_supconv(self, tmp_path, capsys):
+        f, g = tmp_path / "f.json", tmp_path / "g.json"
+        f.write_text(json.dumps({"breakpoints": [0.0, 2.0], "slopes": [3.0, 0.0]}))
+        g.write_text(json.dumps({"breakpoints": [0.0, 4.0], "slopes": [1.0, 0.0]}))
+        assert cli_main(["pwl", "supconv", str(f), str(g)]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc == {"breakpoints": [0.0, 2.0, 6.0], "slopes": [3.0, 1.0, 0.0]}
 
     def test_pwl_subcommand(self, tmp_path, capsys):
         f = tmp_path / "f.json"

@@ -1,11 +1,14 @@
 """Tests for graphs, routing, topologies, and seeded instance generation."""
 
+import hashlib
 import itertools
+import json
 
 import numpy as np
 import pytest
 
 from numflow.errors import InvalidPath, NoPath, TooManyClasses
+from numflow.multipath import gen_multipath_instance
 from numflow.netmodel import (
     FlowClass,
     Link,
@@ -216,6 +219,55 @@ class TestGenInstance:
         inst = gen_instance(small_topology(), 3, seed=7, utility_spec={"family": "power", "a": 2.0})
         for cls in inst.classes:
             assert all(f.a == 2.0 for f in cls.flows)
+
+
+# Documents the generators wrote before their per-class draw became one
+# helper: the (src, dst, flow count) of every class and the SHA-256 of
+# json.dumps(instance_to_json(inst)).
+RECORDED_INSTANCES = {
+    "small-log": (
+        lambda: gen_instance(small_topology(), 6, 5),
+        [(2, 5, 18), (4, 1, 15), (6, 1, 14), (2, 1, 19), (2, 6, 16), (4, 2, 10)],
+        "abaf43b7ea3316a010051c47a190ae35909dab020f46d6bb2232bff9d528e7d5",
+    ),
+    "small-power": (
+        lambda: gen_instance(small_topology(), 6, 5, {"family": "power", "a": 2.0}),
+        [(2, 5, 18), (4, 1, 15), (6, 1, 14), (2, 1, 19), (2, 6, 16), (4, 2, 10)],
+        "8169bdfe162610181ebc13860f0663ec930ee52d50d0d35035290b528e8c00f1",
+    ),
+    "iridium-log": (
+        lambda: gen_instance(iridium_topology(), 8, 7, endpoint_rule="gateway-constrained"),
+        [(20, 56, 12), (14, 45, 15), (63, 23, 17), (23, 21, 20), (23, 34, 16), (29, 56, 16),
+         (56, 52, 17), (1, 27, 19)],
+        "780dd9e5b3e5307d5b60acd9d5147af3aed0ee65294a72eb455b2b53d988d8af",
+    ),
+    "iridium-power": (
+        lambda: gen_instance(iridium_topology(), 8, 7, {"family": "power", "a": 1.5},
+                             endpoint_rule="gateway-constrained"),
+        [(20, 56, 12), (14, 45, 15), (63, 23, 17), (23, 21, 20), (23, 34, 16), (29, 56, 16),
+         (56, 52, 17), (1, 27, 19)],
+        "71c4202a999366d1bd818cd82e31aa5405933036ed07950b71be4cb3f5f0e56a",
+    ),
+    "small-multipath": (
+        lambda: gen_multipath_instance(small_topology(), 5, 1, 2),
+        [(2, 1, 11), (5, 3, 16), (5, 6, 17), (5, 4, 10), (2, 6, 16)],
+        "a1b781c893dcfd53abe51af5a120669a1c68cbc6704121a597aa06df6ac20dc9",
+    ),
+    "iridium-multipath": (
+        lambda: gen_multipath_instance(iridium_topology(), 4, 3, 2),
+        [(34, 50, 15), (37, 40, 12), (33, 37, 15), (58, 51, 17)],
+        "120a6c12293bc7aee84b1c93cd7ca105e48ccfe1d4785d4aa7ad1d1c30c85df5",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_INSTANCES))
+def test_generators_match_recorded_documents(name):
+    # both generators draw each class's flows by netmodel.draw_classes
+    make, classes, digest = RECORDED_INSTANCES[name]
+    inst = make()
+    assert [(c.source, c.destination, len(c.flows)) for c in inst.classes] == classes
+    assert hashlib.sha256(json.dumps(instance_to_json(inst)).encode()).hexdigest() == digest
 
 
 def test_instance_json_round_trip(tmp_path):
