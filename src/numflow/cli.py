@@ -122,7 +122,8 @@ def _cmd_solve(args) -> int:
 
 def _cmd_bench(args) -> int:
     cfg = read_json(args.config, harness.ExperimentConfig.from_json)
-    rep = harness.run_experiment(cfg)
+    with _reading_input():  # the topology may not serve the endpoint rule or the N values
+        rep = harness.run_experiment(cfg)
     harness.emit_report(rep, args.format, args.out)
     return EXIT_OK if all(r.converged for r in rep.rows) else EXIT_NOCONV
 

@@ -46,7 +46,9 @@ class NotSupportedUtility(NumflowError):
 
 
 class MaxIterExceeded(NumflowError):
-    """Projection's NNLS solve hit its iteration limit or degenerated (ill-conditioned projection)."""
+    """An inner loop gave up: the projection's NNLS solve hit its iteration
+    limit or degenerated (ill-conditioned projection), or a projected-gradient
+    step found no ascent within 30 halvings of its trial step."""
 
 
 class InconsistentTargets(NumflowError):

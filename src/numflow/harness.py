@@ -27,7 +27,7 @@ from .errors import NonConvergence, NotSupportedUtility
 from .netmodel import (Instance, Network, gen_instance, iridium_topology, load_instance, small_topology,
                        write_text)
 from .rng import mix
-from .solvers import SolverParams, Solution, _apportioned, solve_admm, solve_cp, solve_gradproj
+from .solvers import SolverParams, Solution, _is_int, _solution, solve_admm, solve_cp, solve_gradproj
 from .utility import FairClasses, evaluate, kkt_check_single_path
 
 VERSION = "0.1.0"
@@ -89,14 +89,13 @@ def oracle_solve(inst: Instance, tol: float = 1e-7) -> Solution:
     rho = _newton_polish(np.maximum(res.x, 0.0), R, c, dual.rates)
 
     x = dual.rates(np.maximum(R.T @ rho, 1e-12))[0]
-    sol = _apportioned(R, classes, x, rho, int(res.nit), True, t0)
-    report = kkt_check_single_path(inst, sol.x, sol.u, rho, tol=tol)
+    u, objective = classes.split(x)
+    report = kkt_check_single_path(inst, x, u, rho, tol=tol)
     if not report.passed:
         raise NonConvergence(
             f"oracle residual {report.max_residual:.3e} exceeds {tol:.1e}"
         )
-    sol.wall_time = time.perf_counter() - t0  # the certificate is part of the solve
-    return sol
+    return _solution(R, x, u, objective, rho, int(res.nit), True, t0)
 
 
 def _newton_polish(rho, R, c, rates):
@@ -145,8 +144,12 @@ class ExperimentConfig:
     def __post_init__(self):
         if not isinstance(self.topology, str):
             raise TypeError(f"'topology' must be a string, got {type(self.topology).__name__}")
-        if self.repetitions < 1:
-            raise ValueError("repetitions must be >= 1")
+        if not _is_int(self.seed):
+            raise ValueError("seed must be an integer")
+        if not _is_int(self.repetitions) or self.repetitions < 1:
+            raise ValueError("repetitions must be an integer >= 1")
+        if not all(_is_int(n) and n >= 1 for n in self.n_values):
+            raise ValueError("n_values must hold integers >= 1")
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ValueError(f"unknown solver: {s}")
@@ -160,6 +163,8 @@ class ExperimentConfig:
 
         ``params`` and each entry in it must be JSON objects, ``n_values``
         and ``solvers`` JSON arrays; otherwise TypeError names the key.
+        Numbers are passed on as they are, so the constructor rejects a
+        ``seed``, ``repetitions`` or N that is fractional or a bool.
         """
         def typed(key, kind, value):
             if not isinstance(value, kind):
@@ -167,12 +172,10 @@ class ExperimentConfig:
             return value
 
         convert = {
-            "n_values": lambda ns: tuple(int(n) for n in typed("n_values", list, ns)),
-            "seed": int,
+            "n_values": lambda ns: tuple(typed("n_values", list, ns)),
             "solvers": lambda ss: tuple(typed("solvers", list, ss)),
             "params": lambda ps: {name: SolverParams.from_json(typed(f"params.{name}", dict, p))
                                   for name, p in typed("params", dict, ps).items()},
-            "repetitions": int,
         }
         return cls(**{k: convert[k](v) if k in convert else v
                       for k, v in doc.items() if k in cls.__dataclass_fields__})

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import InconsistentTargets, InsufficientPaths, NoPath, TooManyClasses
 from .netmodel import Instance, Network, admissible_pairs, dijkstra_path, draw_classes, routing_matrix
 from .rng import MixRng
-from .solvers import Solution, SolverParams, _apportioned, _gradproj_loop, _log_classes
+from .solvers import Solution, SolverParams, _gradproj_loop, _log_classes, _solution
 from .solvers import project_polytope_with_duals  # noqa: F401  (patched by the benchmark tracer)
 from .utility import KktReport, kkt_check
 
@@ -123,7 +123,8 @@ def solve_multipath(inst: Instance, params: SolverParams) -> Solution:
     t0 = time.perf_counter()
     classes = _log_classes(inst, single_path=False)
     x, rho, mu, n_iter, converged = solve_multipath_aggregate(inst, params)
-    return _apportioned(inst.routing.dense(), classes, x, rho, n_iter, converged, t0, mu=mu)
+    u, objective = classes.split(x)
+    return _solution(inst.routing.dense(), x, u, objective, rho, n_iter, converged, t0, mu=mu)
 
 
 def kkt_check_multipath(inst: Instance, alloc: Solution, tol: float = 1e-5) -> KktReport:

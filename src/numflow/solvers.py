@@ -28,7 +28,9 @@ Three solvers share the aggregate-flow structure:
   ``scipy.optimize.nnls``, and takes the next face from its multipliers.
 
 Each apportions the aggregate rates to flows once, after the loop, by the
-share split every alpha-fair solver uses: ``utility.FairClasses``.
+share split every alpha-fair solver uses: ``utility.FairClasses``. Every
+solver, here and in ``multipath`` and ``harness``, returns through one
+builder, ``_solution``.
 
 All three require weighted-log utilities (the closed-form case). A fourth
 path, ``solve_pwl_aggregate``, handles piecewise-linear utilities via
@@ -54,6 +56,11 @@ from .pwl import pwl_apportion, pwl_eval
 from .utility import FairClasses, PwlUtility, aggregate_kkt_residual
 
 
+def _is_int(v) -> bool:
+    """Whether ``v`` is an integer, numpy's included, and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
 @dataclass(frozen=True)
 class SolverParams:
     r: float = 20.0          # ADMM penalty
@@ -68,7 +75,7 @@ class SolverParams:
             raise ValueError("r and alpha must be finite and positive")
         if not all(math.isfinite(v) and v >= 0 for v in (self.pct, self.tol)):
             raise ValueError("pct and tol must be finite and nonnegative")
-        if not isinstance(self.max_iter, numbers.Integral) or self.max_iter < 1:
+        if not _is_int(self.max_iter) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer >= 1")
 
     def to_json(self) -> dict:
@@ -81,7 +88,12 @@ class SolverParams:
 
 @dataclass
 class Solution:
-    """A solve's result, single-path or multipath (J paths per class)."""
+    """A solve's result, single-path or multipath (J paths per class).
+
+    Every solver builds it with ``_solution``: ``l_max`` is max(R x), the
+    largest link load of the returned class rates (0.0 with no links), and
+    ``wall_time`` covers the whole solve, the oracle's certificate included.
+    """
 
     x: np.ndarray                       # per-class aggregate rates, (N,) or (N, J)
     u: tuple[np.ndarray, ...]           # per-class flow rates, (K_i,) or (K_i, J)
@@ -110,6 +122,23 @@ class Solution:
             "converged": self.converged,
             "mu": listed(self.mu),
         }
+
+
+def _solution(R, x, u, objective, rho, n_iter, converged, t0, lam=None, mu=None) -> Solution:
+    """The Solution of a solve that began at ``t0`` (``time.perf_counter``),
+    with ``R`` its dense routing matrix and ``rho`` its link duals."""
+    return Solution(
+        x=x,
+        u=u,
+        lam=lam,
+        rho=rho,
+        objective=objective,
+        l_max=float(np.max(R @ x.reshape(-1))) if R.shape[0] else 0.0,
+        n_iter=n_iter,
+        wall_time=time.perf_counter() - t0,
+        converged=converged,
+        mu=mu,
+    )
 
 
 class SpdFactor:
@@ -239,17 +268,7 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
     # The splitting multiplier converges to minus the capacity dual (the
     # y-stationarity of the recast problem pairs rho with -eta), so the
     # reported link duals are negated.
-    return Solution(
-        x=x,
-        u=u,
-        lam=lam,
-        rho=-rho,
-        objective=objective,
-        l_max=float(np.max(Rx)),
-        n_iter=it,
-        wall_time=time.perf_counter() - t0,
-        converged=converged,
-    )
+    return _solution(R, x, u, objective, -rho, it, converged, t0, lam=lam)
 
 
 # ---------------------------------------------------------------------------
@@ -494,24 +513,6 @@ def _gradproj_loop(R: np.ndarray, c: np.ndarray, wbar: np.ndarray, J: int, param
     return x.ravel(), lam, mu, it, converged
 
 
-def _apportioned(R, classes: FairClasses, x, duals, n_iter, converged, t0, mu=None) -> Solution:
-    """Solution with each class's rate x_i (a row of x for J paths) split among
-    its flows by ``classes``; ``duals`` are the link duals."""
-    u, objective = classes.split(x)
-    return Solution(
-        x=x,
-        u=u,
-        lam=None,
-        rho=duals,
-        objective=objective,
-        l_max=float(np.max(R @ x.reshape(-1))),
-        n_iter=n_iter,
-        wall_time=time.perf_counter() - t0,
-        converged=converged,
-        mu=mu,
-    )
-
-
 # ---------------------------------------------------------------------------
 # Gradient projection
 
@@ -522,7 +523,8 @@ def solve_gradproj(inst: Instance, params: SolverParams) -> Solution:
     classes = _log_classes(inst)
     R = inst.routing.dense()
     x, lam, _, it, converged = _gradproj_loop(R, inst.network.capacities, classes.k, 1, params)
-    return _apportioned(R, classes, x, lam, it, converged, t0)
+    u, objective = classes.split(x)
+    return _solution(R, x, u, objective, lam, it, converged, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -575,7 +577,8 @@ def solve_cp(inst: Instance, params: SolverParams) -> Solution:
             if aggregate_kkt_residual(R, c, wbar, x, y) <= params.tol:
                 converged = True
                 break
-    return _apportioned(R, classes, x, y, it, converged, t0)
+    u, objective = classes.split(x)
+    return _solution(R, x, u, objective, y, it, converged, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -653,14 +656,4 @@ def solve_pwl_aggregate(inst: Instance, params: SolverParams | None = None) -> S
     objective = float(
         sum(pwl_eval(f, ui) for fs, us in zip(members_per_class, u) for f, ui in zip(fs, us))
     )
-    return Solution(
-        x=x,
-        u=u,
-        lam=None,
-        rho=duals[:L],
-        objective=objective,
-        l_max=float(np.max(R @ x)) if L else 0.0,
-        n_iter=n_iter,
-        wall_time=time.perf_counter() - t0,
-        converged=True,
-    )
+    return _solution(R, x, u, objective, duals[:L], n_iter, True, t0)

@@ -373,6 +373,18 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             ExperimentConfig(solvers=("nope",))
 
+    @pytest.mark.parametrize("bad", [
+        {"seed": 2.5}, {"seed": True}, {"repetitions": 1.7}, {"repetitions": True},
+        {"n_values": (3.9,)}, {"n_values": (True,)}, {"n_values": (5, 0)}, {"n_values": (-2,)},
+    ])
+    def test_config_integer_fields(self, bad):
+        with pytest.raises(ValueError):
+            ExperimentConfig(**bad)
+
+    def test_config_takes_numpy_integers(self):
+        cfg = ExperimentConfig(n_values=(np.int64(5),), seed=np.int32(2), repetitions=np.int64(1))
+        assert cfg.n_values == (5,) and cfg.seed == 2 and cfg.repetitions == 1
+
 
 def _per_n_seed(base, n):
     from numflow.rng import mix
@@ -577,6 +589,28 @@ class TestCli:
         assert cli_main(["bench", str(cfg), "--out", str(tmp_path / "rep.csv")]) == 1
         err = capsys.readouterr().err
         assert err.startswith("numflow: ") and key in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("doc", [
+        {"endpoint_rule": "gateway-constrained"},
+        {"endpoint_rule": "nope"},
+        {"n_values": [-2]},
+        {"n_values": [3.9], "repetitions": 1.7, "seed": 2.5},
+        {"n_values": [True]},
+    ], ids=["no-gateways", "unknown-rule", "negative-n", "fractions", "bool-n"])
+    def test_bench_config_it_cannot_run_usage_error(self, tmp_path, capsys, doc):
+        cfg = tmp_path / "cfg.json"
+        sweep = {"topology": "small", "n_values": [3], "repetitions": 1, "solvers": ["admm"]}
+        cfg.write_text(json.dumps({**sweep, **doc}))
+        assert cli_main(["bench", str(cfg), "--out", str(tmp_path / "rep.csv")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numflow: ") and err.count("\n") == 1
+
+    def test_bool_max_iter_usage_error(self, tmp_path, capsys):
+        inst = self._gen(tmp_path)
+        params = tmp_path / "p.json"
+        params.write_text(json.dumps({"max_iter": True}))
+        assert cli_main(["solve", str(inst), "--solver", "cp", "--params", str(params)]) == 1
+        assert "max_iter" in capsys.readouterr().err
 
     def test_bench_topology_must_be_a_string(self, tmp_path, capsys, monkeypatch):
         # an int topology must not reach open(), which reads it as a file descriptor

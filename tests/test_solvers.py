@@ -2,6 +2,7 @@
 
 import functools
 import math
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -90,6 +91,11 @@ class TestSolverParams:
     def test_rejects_values_it_cannot_run(self, bad):
         with pytest.raises(ValueError):
             SolverParams(**bad)
+
+    def test_rejects_a_bool_max_iter(self):
+        # True is a numbers.Integral, but no iteration count
+        with pytest.raises(ValueError, match="max_iter"):
+            SolverParams(max_iter=True)
 
     def test_zero_tolerances_and_numpy_integers_are_legal(self):
         p = SolverParams(pct=0.0, tol=0.0, max_iter=np.int64(5))
@@ -222,6 +228,21 @@ def test_single_path_solvers_reject_multipath_instances(solver):
     inst = gen_multipath_instance(small_topology(), 2, 1, paths_per_class=2)
     with pytest.raises(NotSupportedUtility):
         solver(inst, SolverParams(max_iter=10))
+
+
+@pytest.mark.parametrize("solver", [solve_admm, solve_cp, solve_gradproj])
+def test_log_solvers_reject_power_utilities(solver):
+    # FairClasses accepts a negative-power class; the log-only check rejects it
+    inst = gen_instance(small_topology(), 5, 1, {"family": "power", "a": 2.0})
+    with pytest.raises(NotSupportedUtility, match="requires weighted-log"):
+        solver(inst, SolverParams(max_iter=10))
+
+
+@pytest.mark.parametrize("solver", [oracle_solve, solve_pwl_aggregate])
+def test_oracle_and_pwl_reject_multipath_instances(solver):
+    inst = gen_multipath_instance(small_topology(), 2, 1, paths_per_class=2)
+    with pytest.raises(NotSupportedUtility, match="single-path"):
+        solver(inst)
 
 
 def _reference_admm(inst, params):
@@ -1052,6 +1073,12 @@ class TestSolvePwlAggregate:
         assert sol.x[0] == 0.0 and sol.objective == 1.0
         assert list(sol.rho) == [0.0]
 
+    @pytest.mark.parametrize("links", [(), (Link(1, 2, 10.0),)], ids=["no-links", "one-link"])
+    def test_no_classes(self, links):
+        net = Network(node_count=2, links=links)
+        sol = solve_pwl_aggregate(Instance(net, (), routing_matrix(net, ())))
+        assert sol.l_max == 0.0 and sol.x.shape == (0,) and sol.u == ()
+
     @pytest.mark.parametrize("n, seed", [(8, 3), (20, 5)])
     def test_kkt_check_passes(self, n, seed):
         inst = _pwl_instance(n, seed)
@@ -1066,3 +1093,30 @@ class TestSolvePwlAggregate:
         report = kkt_check(inst, sol.x, sol.u, np.zeros_like(sol.rho), tol=1e-9)
         assert report.stationarity > 1e-3
         assert not report.passed
+
+
+def _small_n15():
+    return gen_instance(small_topology(), 15, 1)
+
+
+# every solver, with the instance it runs on here
+_EVERY_SOLVER = {
+    "admm": (lambda inst: solve_admm(inst, SolverParams()), _small_n15),
+    "cp": (lambda inst: solve_cp(inst, SolverParams()), _small_n15),
+    "gradproj": (lambda inst: solve_gradproj(inst, SolverParams()), _small_n15),
+    "oracle": (oracle_solve, _small_n15),
+    "multipath": (lambda inst: solve_multipath(inst, SolverParams(alpha=2.0, tol=1e-6, max_iter=5000)),
+                  lambda: gen_multipath_instance(small_topology(), 5, 1, paths_per_class=2)),
+    "pwl": (solve_pwl_aggregate, lambda: _pwl_instance(8, 3)),
+}
+
+
+@pytest.mark.parametrize("name", list(_EVERY_SOLVER))
+def test_l_max_and_wall_time_of_every_solver(name):
+    solve, make = _EVERY_SOLVER[name]
+    inst = make()
+    t0 = time.perf_counter()
+    sol = solve(inst)
+    elapsed = time.perf_counter() - t0
+    assert sol.l_max == float(np.max(inst.routing.dense() @ sol.x.reshape(-1)))
+    assert 0.0 < sol.wall_time <= elapsed

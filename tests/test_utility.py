@@ -331,6 +331,13 @@ def test_kkt_check_matches_per_flow_reference(name, args):
     assert rep.passed == ref.passed
 
 
+def test_kkt_check_scores_a_pwl_flow_at_a_negative_price_as_one():
+    # max_r f(r) - price*r is unbounded above when the price is negative
+    inst = _single_link_instance([[PwlUtility(PwlConcave((0.0, 2.0), (3.0, 0.0)))]])
+    report = kkt_check(inst, np.array([2.0]), [np.array([2.0])], np.array([-1.0]))
+    assert report.stationarity == 1.0
+
+
 def test_kkt_check_rejects_non_legendre_flows():
     inst = _single_link_instance([[Quadratic(1.0)]])
     with pytest.raises(NotLegendre):
