@@ -1,14 +1,14 @@
 """Reference oracle, experiment runner, and report emission.
 
-The oracle solves the link-price dual over the nonnegative orthant
-(quasi-Newton with bound constraints, then a Newton polish on the saturated
-links). By the paper's aggregation theorem each class enters the dual only
-through its aggregate, so the dual is evaluated on N class aggregates. The
-class rates at the final path prices get the share split every alpha-fair
-solver uses, and the result is accepted only if its flow-level KKT residual,
-which takes each flow's own conjugate derivative, meets the tolerance. It
-shares no iteration machinery with the first-order solvers and is intended
-for small instances.
+The oracle solves the link-price dual over the nonnegative orthant by one
+primal-dual interior-point Newton loop in the link prices and the link
+slacks. By the paper's aggregation theorem each class enters the dual only
+through its aggregate, so each Newton step costs one L x L Cholesky factor,
+whatever the number of flows. The class rates at the final path prices get
+the share split every alpha-fair solver uses, and the result is accepted
+only if its flow-level KKT residual, which takes each flow's own conjugate
+derivative, meets the tolerance. It shares no iteration machinery with the
+first-order solvers.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-import scipy.optimize
+import scipy.linalg
 
 from .errors import NonConvergence, NotSupportedUtility
 from .netmodel import (Instance, Network, gen_instance, iridium_topology, load_instance, small_topology,
@@ -39,96 +39,82 @@ SOLVERS = {
 }
 
 
-class _AggregateDual:
-    """The link-price dual on class aggregates, by the aggregation theorem.
-
-    Class i's rate at path price v_i is x_i = k_i v_i^-p_i, with k, p and the
-    log classes read from the ``FairClasses`` table. They make the dual's
-    value and gradient N-vector expressions plus one product with R.
-    """
-
-    def __init__(self, R, c, classes: FairClasses):
-        self.R, self.c = R, c
-        self.log, self.p, self.k = classes.log, classes.p, classes.k
-        self.wlogw = sum(float(np.sum(w * np.log(w)))
-                         for w, log in zip(classes.weights, classes.log) if log)
-
-    def rates(self, v: np.ndarray):
-        """Class rates x(v) and their slopes dx_i/dv_i = -p_i x_i / v_i."""
-        x = np.where(self.log, self.k / v, self.k * v ** -self.p)
-        return x, -self.p * x / v
-
-    def __call__(self, rho: np.ndarray):
-        """Dual value and gradient at the link prices ``rho``."""
-        v = np.maximum(self.R.T @ rho, 1e-12)
-        log, k, q = self.log, self.k, 1.0 - self.p
-        val = (rho @ self.c + self.wlogw - k[log] @ (np.log(v[log]) + 1.0)
-               - (k[~log] / q[~log]) @ v[~log] ** q[~log])
-        return float(val), self.c - self.R @ self.rates(v)[0]
-
-
 def oracle_solve(inst: Instance, tol: float = 1e-7) -> Solution:
-    """Independent reference solution via the link-price dual."""
+    """Independent reference solution via the link-price dual.
+
+    The dual is min c.rho + sum_i g_i(v_i) over link prices rho >= 0, with
+    v = R^T rho the path prices and g_i the conjugate of class i's
+    aggregate utility. It is solved by primal-dual path following (Boyd &
+    Vandenberghe, Convex Optimization, section 11.7) in rho > 0 and link
+    slacks s > 0, with residual r_p = c - R x - s. The class rates are always
+    read off the prices, x = ``FairClasses.rates(v)``, so stationarity
+    holds exactly. Each Newton step solves
+
+        (R D R^T + diag(s / rho)) d_rho = (sigma mu - rho s) / rho - r_p
+
+    by one L x L Cholesky factor, with D = -dx/dv, mu = rho.s / L and
+    sigma = min(0.1, err), and keeps 0.99 of the step to the boundary of
+    rho and s. The diagonal of R D R^T is raised by 1e-12 of itself, so
+    that the factor exists when the saturated links are dependent and
+    their prices are not unique. err is the largest |r_p| or rho s over the
+    links, each divided by max(c, 1); the loop stops when err <= 1e-10
+    and raises NonConvergence after 100 steps. ``n_iter`` counts the
+    Newton steps. The result must then pass the flow-level KKT check at
+    ``tol``.
+    """
     t0 = time.perf_counter()
     if inst.paths_per_class != 1:
         raise NotSupportedUtility("oracle handles single-path instances")
     R = inst.routing.dense()
     c = inst.network.capacities
     classes = FairClasses(cls.flows for cls in inst.classes)
-    dual = _AggregateDual(R, c, classes)
+    n_links = len(c)
+    scale = np.maximum(c, 1.0)
 
-    rho0 = np.full(R.shape[0], 0.1)
-    res = scipy.optimize.minimize(
-        dual,
-        rho0,
-        jac=True,
-        method="L-BFGS-B",
-        bounds=[(0.0, None)] * R.shape[0],
-        options={"maxiter": 20000, "ftol": 1e-18, "gtol": 1e-12},
-    )
-    rho = _newton_polish(np.maximum(res.x, 0.0), R, c, dual.rates)
+    # every (link, link, class) term of R D R^T, as flat matrix index and class
+    cls, link = np.nonzero(R.T)
+    length = np.bincount(cls, minlength=len(classes.k))
+    first = np.cumsum(length) - length
+    block = length[cls]
+    row = np.repeat(np.arange(len(cls)), block)
+    col = first[cls[row]] + np.arange(len(row)) - np.repeat(np.cumsum(block) - block, block)
+    pair, pair_cls = link[row] * n_links + link[col], cls[row]
 
-    x = dual.rates(np.maximum(R.T @ rho, 1e-12))[0]
+    # start with every class at half the tightest link's equal share, and one
+    # price on every link
+    deg = R.sum(axis=1)
+    used = deg > 0
+    x_hat = 0.5 * np.min(c[used] / deg[used])
+    price = np.mean((classes.k / x_hat) ** (1.0 / classes.p))  # mean U_i'(x_hat)
+    rho = np.full(n_links, price / np.mean(np.maximum(deg, 1.0)))
+    s = np.maximum(c - R @ classes.rates(R.T @ rho)[0], c / 2)
+    for n_iter in range(101):
+        x, slope = classes.rates(R.T @ rho)
+        r_p = c - R @ x - s
+        err = float(np.max(np.maximum(np.abs(r_p), rho * s) / scale))
+        if err <= 1e-10:
+            break
+        if n_iter == 100:
+            raise NonConvergence(f"oracle dual residual {err:.3e} after 100 Newton steps")
+        target = min(0.1, err) * (rho @ s) / n_links - rho * s
+        H = np.bincount(pair, weights=-slope[pair_cls], minlength=n_links**2).reshape(n_links, n_links)
+        H.flat[::n_links + 1] = H.flat[::n_links + 1] * (1.0 + 1e-12) + s / rho
+        try:
+            d_rho = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), target / rho - r_p)
+        except np.linalg.LinAlgError as exc:
+            raise NonConvergence(f"oracle Newton system is singular: {exc}") from exc
+        d_s = (target - s * d_rho) / rho
+        z, dz = np.concatenate([rho, s]), np.concatenate([d_rho, d_s])
+        alpha = min(1.0, 0.99 * float(np.min(-z[dz < 0] / dz[dz < 0], initial=np.inf)))
+        rho, s = rho + alpha * d_rho, s + alpha * d_s
+
     u, objective = classes.split(x)
     report = kkt_check_single_path(inst, x, u, rho, tol=tol)
     if not report.passed:
         raise NonConvergence(
             f"oracle residual {report.max_residual:.3e} exceeds {tol:.1e}"
         )
-    return _solution(R, x, u, objective, rho, int(res.nit), True, t0)
-
-
-def _newton_polish(rho, R, c, rates):
-    """Drive the saturated-link equations to machine precision.
-
-    Solves R_A x(rho) = c_A over the links with positive price by damped
-    Newton steps, with x and its slopes from ``rates``. Dependent active
-    links make the Jacobian singular; the least-squares step then splits
-    the price among them non-uniquely, but x(rho) is unique. Returns the
-    last rho if the SVD itself fails.
-    """
-    rho = rho.copy()
-    for _ in range(40):
-        active = np.where(rho > 1e-9)[0]
-        if len(active) == 0:
-            return rho
-        x, slopes = rates(np.maximum(R.T @ rho, 1e-12))
-        resid = (R @ x - c)[active]
-        if np.max(np.abs(resid)) < 1e-13:
-            return rho
-        Ra = R[active]
-        jac = (Ra * slopes) @ Ra.T
-        try:
-            step = np.linalg.lstsq(jac, resid, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            return rho
-        rho_new = rho.copy()
-        rho_new[active] = rho[active] - step
-        if np.any(rho_new[active] < 0):
-            # a link leaves the active set; take a damped step instead
-            rho_new[active] = np.maximum(rho[active] - 0.5 * step, 0.0)
-        rho = rho_new
-    return rho
+    return _solution(R, x, u, objective, rho, n_iter, True, t0)
 
 
 @dataclass(frozen=True)

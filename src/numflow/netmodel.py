@@ -14,6 +14,7 @@ benchmark graphs (6 nodes / 14 links, and a 66-satellite constellation with
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -45,8 +46,8 @@ class Network:
             raise ValueError("node count must be positive")
         seen = set()
         for link in self.links:
-            if link.cap <= 0:
-                raise ValueError(f"nonpositive capacity on link {link}")
+            if not 0 < link.cap < math.inf:
+                raise ValueError(f"capacity must be positive and finite on link {link}")
             if link.tail == link.head:
                 raise ValueError(f"self-loop link {link}")
             if not (1 <= link.tail <= self.node_count and 1 <= link.head <= self.node_count):

@@ -40,13 +40,19 @@ from .errors import (
 from .pwl import NEG_INF, PwlConcave, pwl_apportion, pwl_eval, pwl_from_json, pwl_supconv, pwl_to_json
 
 
+def _check_weight(w) -> None:
+    if not math.isfinite(w):
+        raise ValueError("weight must be finite")
+    if w <= 0:
+        raise ValueError("weight must be positive")
+
+
 @dataclass(frozen=True)
 class WeightedLog:
     w: float
 
     def __post_init__(self):
-        if self.w <= 0:
-            raise ValueError("weight must be positive")
+        _check_weight(self.w)
 
 
 @dataclass(frozen=True)
@@ -55,8 +61,9 @@ class NegPower:
     a: float
 
     def __post_init__(self):
-        if self.w <= 0:
-            raise ValueError("weight must be positive")
+        _check_weight(self.w)
+        if not math.isfinite(self.a):
+            raise ValueError("exponent must be finite")
         if self.a < 1:
             raise ValueError("exponent must be >= 1")
 
@@ -204,6 +211,11 @@ class FairClasses:
         flow_a = np.repeat(self.a, sizes)
         self._log_flows = flow_a == 0.0
         self._power_a = flow_a[~self._log_flows]
+
+    def rates(self, v):
+        """Class rates x(v) at the path prices ``v``, and their slopes dx_i/dv_i = -p_i x_i / v_i."""
+        x = np.where(self.log, self.k / v, self.k * v ** -self.p)
+        return x, -self.p * x / v
 
     def split(self, x):
         """Flow rates from class rates, and the flow objective at them.

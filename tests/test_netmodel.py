@@ -3,6 +3,7 @@
 import hashlib
 import itertools
 import json
+import math
 
 import numpy as np
 import pytest
@@ -61,6 +62,11 @@ class TestNetworkValidation:
             Network(2, (Link(1, 3, 1.0),))  # node out of range
         with pytest.raises(ValueError):
             Network(2, (Link(1, 2, 1.0), Link(1, 2, 1.0)))  # parallel
+
+    @pytest.mark.parametrize("cap", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite_capacity(self, cap):
+        with pytest.raises(ValueError, match="positive and finite"):
+            Network(2, (Link(1, 2, cap),))
 
     def test_allow_parallel_flag(self):
         net = Network(2, (Link(1, 2, 1.0), Link(1, 2, 2.0)), allow_parallel=True)

@@ -45,6 +45,20 @@ def _single_link_instance(class_flows, cap=10.0):
     return Instance(net, classes, routing_matrix(net, classes))
 
 
+class TestConstructors:
+    @pytest.mark.parametrize("w", [math.nan, math.inf, 0.0, -1.0])
+    def test_weight_must_be_finite_and_positive(self, w):
+        with pytest.raises(ValueError, match="weight"):
+            WeightedLog(w)
+        with pytest.raises(ValueError, match="weight"):
+            NegPower(w, 2.0)
+
+    @pytest.mark.parametrize("a", [math.nan, math.inf, 0.5])
+    def test_exponent_must_be_finite_and_at_least_one(self, a):
+        with pytest.raises(ValueError, match="exponent"):
+            NegPower(1.0, a)
+
+
 class TestEvaluate:
     def test_log_at_one(self):
         assert evaluate(WeightedLog(2.0), 1.0) == 0.0
