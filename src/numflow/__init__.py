@@ -20,7 +20,7 @@ from .netmodel import (
     routing_matrix,
     small_topology,
 )
-from .pwl import PwlConcave, pwl_apportion, pwl_conjugate, pwl_eval, pwl_sum, pwl_supconv
+from .pwl import PwlConcave, pwl_apportion, pwl_conjugate, pwl_eval, pwl_supconv
 from .utility import (
     ClassUtility,
     NegPower,

@@ -214,12 +214,11 @@ def _recomputed_row(inst: Instance, solver: str, sol: Solution, times: list[floa
     f_star = float(
         sum(evaluate(f, r) for cls, ui in zip(inst.classes, sol.u) for f, r in zip(cls.flows, ui))
     )
-    load = inst.routing.dense() @ sol.x
     return ReportRow(
         solver=solver,
         n=inst.n_classes,
         f_star=f_star,
-        l_max=float(np.max(load)),
+        l_max=sol.l_max,
         n_iter=sol.n_iter,
         t_sec=statistics.median(times),
         t_mean_sec=statistics.fmean(times),

@@ -7,8 +7,10 @@ the last slope beyond ``c_B``), and an affine offset ``f(0)``. The function
 is minus infinity for negative arguments and constant beyond the last
 breakpoint.
 
-Conjugation exchanges breakpoints and slopes; sums merge breakpoint sets;
-supremal convolution is computed as the conjugate of the sum of conjugates.
+Conjugation exchanges breakpoints and slopes. Supremal convolution and
+greedy apportionment are one fill of all members' segments in decreasing
+slope: the convolution lays the segments end to end in that order, and
+apportionment hands each member the segments the fill reaches.
 """
 
 from __future__ import annotations
@@ -38,6 +40,8 @@ class PwlConcave:
             raise ValueError("first breakpoint must be 0")
         if m[-1] != 0.0:
             raise ValueError("last slope must be 0")
+        if not all(math.isfinite(v) for v in (*c, *m, self.offset)):
+            raise ValueError("breakpoints, slopes and offset must be finite")
         if any(v < 0 for v in c) or any(v < 0 for v in m):
             raise ValueError("breakpoints and slopes must be nonnegative")
         if any(c[i + 1] <= c[i] for i in range(len(c) - 1)):
@@ -76,49 +80,56 @@ def pwl_conjugate(f: PwlConcave) -> PwlConcave:
     )
 
 
-def pwl_sum(fs: list[PwlConcave] | tuple[PwlConcave, ...]) -> PwlConcave:
-    """Pointwise sum over the shared domain R+."""
-    if not fs:
-        raise ValueError("pwl_sum of empty sequence")
-    grid = sorted({b for f in fs for b in f.breakpoints})
-    # merge near-identical breakpoints
-    merged = [grid[0]]
-    for b in grid[1:]:
-        if b - merged[-1] > MERGE_TOL:
-            merged.append(b)
-    slopes = []
-    for b in merged:
-        slopes.append(sum(_slope_at(f, b) for f in fs))
-    return _normalized(merged, slopes, sum(f.offset for f in fs))
+def _segments(fs) -> list[tuple[float, int, float]]:
+    """Every positive-slope segment of fs as (-slope, member index, length),
+    in fill order: decreasing slope, ties by member index."""
+    return sorted((-s, mi, hi - lo) for mi, f in enumerate(fs)
+                  for s, lo, hi in zip(f.slopes, f.breakpoints, f.breakpoints[1:]))
 
 
 def pwl_supconv(fs: list[PwlConcave] | tuple[PwlConcave, ...]) -> PwlConcave:
-    """Supremal convolution, computed as (sum of conjugates)*."""
+    """Supremal convolution sup { sum f_i(x_i) : sum x_i = x }.
+
+    The members' segments are laid end to end in fill order (decreasing
+    slope, ties by member index): breakpoints are running sums of segment
+    lengths and the offset is the sum of the offsets. A segment whose slope
+    is within MERGE_TOL of the previous one joins it, and the run keeps the
+    lower slope. A segment that moves the running breakpoint by at most
+    MERGE_TOL joins the previous run at that run's slope. Slopes of at most
+    MERGE_TOL join the flat tail.
+    """
     if not fs:
         raise ValueError("pwl_supconv of empty sequence")
-    return pwl_conjugate(pwl_sum([pwl_conjugate(f) for f in fs]))
+    c, m = [0.0], []
+    for neg_slope, _, length in _segments(fs):
+        s = -neg_slope
+        if s <= MERGE_TOL:
+            break
+        end = c[-1] + length
+        if m and end - c[-1] <= MERGE_TOL:
+            c[-1] = end
+        elif m and m[-1] - s <= MERGE_TOL:
+            c[-1], m[-1] = end, s
+        else:
+            c.append(end)
+            m.append(s)
+    return PwlConcave(tuple(c), tuple(m) + (0.0,), sum(f.offset for f in fs))
 
 
 def pwl_apportion(members: list[PwlConcave], x_star: float) -> list[float]:
-    """Split x_star across members by greedy marginal-slope fill.
+    """Split x_star across members by the fill that builds ``pwl_supconv``.
 
-    Segments are consumed in order of decreasing slope, ties broken by
-    (member index, segment index). Zero-slope tails are never filled, so the
-    result sums to min(x_star, total capacity of all members) and attains
-    the supremal-convolution value at x_star.
+    Segments are consumed in fill order (decreasing slope, ties by member
+    index, then segment, as one member's slopes are distinct). Zero-slope
+    tails are never filled, so the result sums to min(x_star, total
+    capacity of all members) and attains the supremal-convolution value at
+    x_star.
     """
     if x_star < 0:
         raise DomainError("x_star must be nonnegative")
-    segments = []  # (-slope, member, seg, length)
-    for mi, f in enumerate(members):
-        c, m = f.breakpoints, f.slopes
-        for b in range(len(c) - 1):
-            if m[b] > 0:
-                segments.append((-m[b], mi, b, c[b + 1] - c[b]))
-    segments.sort()
     out = [0.0] * len(members)
     remaining = x_star
-    for _, mi, _, length in segments:
+    for _, mi, length in _segments(members):
         if remaining <= 0:
             break
         take = min(length, remaining)
@@ -140,30 +151,3 @@ def pwl_from_json(doc: dict) -> PwlConcave:
         slopes=tuple(float(v) for v in doc["slopes"]),
         offset=float(doc.get("offset", 0.0)),
     )
-
-
-def _slope_at(f: PwlConcave, x: float) -> float:
-    """Right slope of f at x >= 0 (0 beyond the last breakpoint)."""
-    c, m = f.breakpoints, f.slopes
-    for b in range(len(c) - 1, -1, -1):
-        if x >= c[b] - MERGE_TOL:
-            return m[b]
-    return m[0]
-
-
-def _normalized(breaks: list[float], slopes: list[float], offset: float) -> PwlConcave:
-    """Drop segments whose slope matches the previous one within MERGE_TOL."""
-    out_c = [breaks[0]]
-    out_m = [slopes[0]]
-    for b, s in zip(breaks[1:], slopes[1:]):
-        if abs(s - out_m[-1]) <= MERGE_TOL:
-            continue
-        out_c.append(b)
-        out_m.append(s)
-    if out_m[-1] != 0.0:
-        # snap a numerically tiny final slope to the canonical flat tail
-        if abs(out_m[-1]) <= MERGE_TOL:
-            out_m[-1] = 0.0
-        else:
-            raise ValueError("sum has nonzero final slope")
-    return PwlConcave(tuple(out_c), tuple(out_m), offset)

@@ -199,7 +199,6 @@ class FairClasses:
             raise DomainError("the instance has no flow classes")
         sizes = [len(w) for w in weights]
         ends = np.cumsum(sizes).tolist()
-        self.weights = tuple(weights)
         self.w = np.concatenate(weights)
         self.a = np.asarray(a)
         self.log = self.a == 0.0

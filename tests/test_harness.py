@@ -88,7 +88,7 @@ def _primal_rates(terms, v):
 def _table_terms(classes):
     """``_dual_terms`` read back from a class table."""
     return [("log", w, None) if a == 0.0 else ("power", w, a)
-            for w, a in zip(classes.weights, classes.a.tolist())]
+            for w, a in zip(np.split(classes.w, np.cumsum(classes.sizes)[:-1]), classes.a.tolist())]
 
 
 class _PerFlowDual:
@@ -720,6 +720,9 @@ class TestCli:
         "verify {d}/inst.json {d}/sol_bad_rho.json",
         "pwl eval {d}/brace.json --x 1",
         "pwl eval {d}/rising_slopes.json --x 1",
+        "pwl eval {d}/nan_breakpoint.json --x 1",
+        "pwl supconv {d}/inf_offset.json {d}/nan_breakpoint.json",
+        "solve {d}/inf_breakpoint_pwl.json --solver pwl",
         "gen --topology {d}/brace.json --n 2 --out {d}/out.json",
         "solve {d}/inst.json --solver admm --out {d}/absent/sol.json",
     ])
@@ -730,6 +733,9 @@ class TestCli:
         negative_cap = json.loads(json.dumps(doc))
         negative_cap["links"][0]["cap"] = -1.0
         no_links = {k: v for k, v in doc.items() if k != "links"}
+        inf_breakpoint_pwl = json.loads(json.dumps(doc))
+        for cls in inf_breakpoint_pwl["classes"]:
+            cls["flows"] = [{"family": "pwl", "breakpoints": [0.0, math.inf], "slopes": [3.0, 0.0]}]
         files = {
             "inst.json": json.dumps(doc),
             "brace.json": "{",
@@ -739,6 +745,11 @@ class TestCli:
             "sol_without_x.json": json.dumps({"u": [], "rho": []}),
             "sol_bad_rho.json": json.dumps(bad_rho),
             "rising_slopes.json": json.dumps({"breakpoints": [0, 1], "slopes": [0, 1]}),
+            # NaN and Infinity, as Python's json writes them
+            "nan_breakpoint.json": json.dumps({"breakpoints": [0.0, math.nan], "slopes": [1.0, 0.0]}),
+            "inf_offset.json": json.dumps({"breakpoints": [0.0, 2.0], "slopes": [3.0, 0.0],
+                                           "offset": -math.inf}),
+            "inf_breakpoint_pwl.json": json.dumps(inf_breakpoint_pwl),
         }
         for name, text in files.items():
             (tmp_path / name).write_text(text)

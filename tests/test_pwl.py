@@ -11,7 +11,6 @@ from numflow.pwl import (
     pwl_conjugate,
     pwl_eval,
     pwl_from_json,
-    pwl_sum,
     pwl_supconv,
     pwl_to_json,
 )
@@ -70,6 +69,11 @@ class TestConstruction:
             PwlConcave((0.0, 1.0, 2.0), (3.0, 3.0, 0.0))  # non-decreasing slopes
         with pytest.raises(ValueError):
             PwlConcave((0.0, 2.0), (-1.0, 0.0))  # negative slope
+        for bad in (math.nan, math.inf, -math.inf):
+            for c, m, offset in [((0.0, bad), (3.0, 0.0), 0.0), ((0.0, 2.0), (bad, 0.0), 0.0),
+                                 ((0.0, 2.0), (3.0, 0.0), bad)]:
+                with pytest.raises(ValueError, match="must be finite"):
+                    PwlConcave(c, m, offset)
 
     def test_slopes_strictly_decreasing_everywhere(self):
         rng = MixRng(3)
@@ -127,31 +131,6 @@ class TestConjugate:
             assert pwl_eval(g, -0.5) == -math.inf
 
 
-class TestSum:
-    def test_zero_function_is_identity(self):
-        f = PwlConcave((0.0, 2.0), (3.0, 0.0))
-        s = pwl_sum([f, ZERO])
-        for x in np.linspace(0.0, 4.0, 17):
-            assert pwl_eval(s, x) == pytest.approx(pwl_eval(f, x), abs=1e-12)
-
-    def test_doubling(self):
-        f = PwlConcave((0.0, 2.0), (3.0, 0.0))
-        s = pwl_sum([f, f])
-        assert s.breakpoints == (0.0, 2.0)
-        assert s.slopes == (6.0, 0.0)
-
-    def test_merged_breakpoints(self):
-        a = PwlConcave((0.0, 1.0), (2.0, 0.0))
-        b = PwlConcave((0.0, 2.0), (3.0, 0.0))
-        s = pwl_sum([a, b])
-        assert s.breakpoints == (0.0, 1.0, 2.0)
-        assert s.slopes == (5.0, 3.0, 0.0)
-        for x in np.linspace(0.0, 3.0, 13):
-            assert pwl_eval(s, x) == pytest.approx(
-                pwl_eval(a, x) + pwl_eval(b, x), abs=1e-12
-            )
-
-
 class TestSupconv:
     def test_zero_function_is_neutral(self):
         f = PwlConcave((0.0, 2.0), (3.0, 0.0))
@@ -199,6 +178,40 @@ class TestSupconv:
             x2 = 4.0 * rng.uniform()
             assert pwl_eval(s, x1 + x2) >= pwl_eval(fs[0], x1) + pwl_eval(fs[1], x2) - 1e-9
 
+    def test_fenchel_identity(self):
+        # (sup-convolution)* = sum of conjugates (Rockafellar, Convex Analysis, Thm 16.4)
+        rng = MixRng(37)
+        for _ in range(40):
+            fs = [PwlConcave(f.breakpoints, f.slopes, 4.0 * rng.uniform() - 2.0)
+                  for f in (_random_pwl(rng) for _ in range(rng.randint(1, 5)))]
+            lhs = pwl_conjugate(pwl_supconv(fs))
+            conjugates = [pwl_conjugate(f) for f in fs]
+            for y in np.linspace(0.0, max(f.slopes[0] for f in fs) + 1.0, 41):
+                want = sum(pwl_eval(g, y) for g in conjugates)
+                assert pwl_eval(lhs, y) == pytest.approx(want, abs=1e-12)
+
+    @pytest.mark.parametrize("fs, reference", [
+        pytest.param([PwlConcave((0.0, 2.0, 3.0), (3.0, 1.0, 0.0)), PwlConcave((0.0, 1.0), (3.0, 0.0)),
+                      PwlConcave((0.0, 4.0), (1.0, 0.0))],
+                     PwlConcave((0.0, 3.0, 8.0), (3.0, 1.0, 0.0)), id="equal-slopes-join"),
+        pytest.param([PwlConcave((0.0,), (0.0,), 1.5), ZERO, PwlConcave((0.0,), (0.0,), -0.25)],
+                     PwlConcave((0.0,), (0.0,), 1.25), id="flat-members-sum-offsets"),
+        pytest.param([PwlConcave((0.0, 20.0), (3.0, 0.0)),
+                      PwlConcave((0.0, 1.0, 1.0 + 2.2e-16), (2.0, 1.0, 0.0))],
+                     PwlConcave((0.0, 20.0, 21.0), (3.0, 2.0, 0.0)), id="too-short-to-move-breakpoint"),
+        pytest.param([PwlConcave((0.0, 2.0), (3.0, 0.0)), PwlConcave((0.0, 1.0), (3.0 + 5e-13, 0.0))],
+                     PwlConcave((0.0, 3.0), (3.0, 0.0), 5.009326287108706e-13), id="slopes-within-tol"),
+        pytest.param([PwlConcave((0.0, 2.0), (1e-13, 0.0))],
+                     PwlConcave((0.0,), (0.0,), 2e-13), id="slope-within-tol-of-zero"),
+    ])
+    def test_matches_conjugate_construction(self, fs, reference):
+        # reference: (sum of conjugates)*, the construction pwl_supconv used
+        # before it laid the segments end to end
+        s = pwl_supconv(fs)
+        assert s.slopes == reference.slopes
+        for x in np.linspace(0.0, sum(f.breakpoints[-1] for f in fs) + 1.0, 53):
+            assert pwl_eval(s, x) == pytest.approx(pwl_eval(reference, x), abs=1e-12)
+
 
 class TestApportion:
     def test_greedy_fill_example(self):
@@ -215,6 +228,9 @@ class TestApportion:
     def test_equal_members_tie_break(self):
         f = PwlConcave((0.0, 2.0), (3.0, 0.0))
         assert pwl_apportion([f, f], 1.0) == [1.0, 0.0]
+        g = PwlConcave((0.0, 1.0, 4.0), (3.0, 1.0, 0.0))
+        assert pwl_apportion([g, f], 2.5) == [1.0, 1.5]
+        assert pwl_apportion([f, g], 2.5) == [2.0, 0.5]
 
     def test_attains_supremal_convolution_value(self):
         rng = MixRng(31)
