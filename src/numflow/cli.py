@@ -9,6 +9,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import math
 import sys
 from dataclasses import asdict
 
@@ -151,6 +152,8 @@ def _cmd_pwl(args) -> int:
         if args.x is None:
             print("eval requires --x", file=sys.stderr)
             return EXIT_USAGE
+        if not math.isfinite(args.x):
+            raise _BadInput(f"--x must be finite, got {args.x}")
         for f in fns:
             print(f"{pwl.pwl_eval(f, args.x):.12g}")
     elif args.action == "conjugate":

@@ -24,10 +24,10 @@ import numpy as np
 import scipy.linalg
 
 from .errors import NonConvergence, NotSupportedUtility
-from .netmodel import (Instance, Network, gen_instance, iridium_topology, load_instance, small_topology,
-                       write_text)
+from .netmodel import (Instance, Network, _is_int, gen_instance, iridium_topology, load_instance,
+                       small_topology, write_text)
 from .rng import mix
-from .solvers import SolverParams, Solution, _is_int, _solution, solve_admm, solve_cp, solve_gradproj
+from .solvers import SolverParams, Solution, _solution, solve_admm, solve_cp, solve_gradproj
 from .utility import FairClasses, evaluate, kkt_check_single_path
 
 VERSION = "0.1.0"

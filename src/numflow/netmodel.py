@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import json
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
@@ -26,6 +27,11 @@ from .rng import MixRng
 from .utility import NegPower, UtilityFamily, WeightedLog, family_from_json, family_to_json
 
 SCHEMA_VERSION = 1
+
+
+def _is_int(v) -> bool:
+    """Whether ``v`` is an integer, numpy's included, and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 class Link(NamedTuple):
@@ -42,10 +48,14 @@ class Network:
     allow_parallel: bool = False
 
     def __post_init__(self):
-        if self.node_count < 1:
-            raise ValueError("node count must be positive")
+        if not _is_int(self.node_count) or self.node_count < 1:
+            raise ValueError("node count must be an integer >= 1")
+        if not isinstance(self.allow_parallel, bool):
+            raise TypeError("allow_parallel must be a boolean")
         seen = set()
         for link in self.links:
+            if not (_is_int(link.tail) and _is_int(link.head)):
+                raise ValueError(f"link ends must be integers in {link}")
             if not 0 < link.cap < math.inf:
                 raise ValueError(f"capacity must be positive and finite on link {link}")
             if link.tail == link.head:
@@ -57,8 +67,8 @@ class Network:
                 raise ValueError(f"parallel link {pair} (set allow_parallel to permit)")
             seen.add(pair)
         for g in self.gateways:
-            if not 1 <= g <= self.node_count:
-                raise ValueError(f"gateway {g} out of range")
+            if not (_is_int(g) and 1 <= g <= self.node_count):
+                raise ValueError(f"gateway {g} must be an integer in 1..{self.node_count}")
 
     @cached_property
     def out_links(self) -> dict[int, list[tuple[int, int]]]:
@@ -83,10 +93,14 @@ class FlowClass:
     flows: tuple[UtilityFamily, ...]
 
     def __post_init__(self):
+        if not (_is_int(self.source) and _is_int(self.destination)):
+            raise ValueError("source and destination must be integers")
         if self.source == self.destination:
             raise ValueError("source and destination must differ")
         if not self.paths:
             raise ValueError("class needs at least one path")
+        if not all(_is_int(lid) for path in self.paths for lid in path):
+            raise ValueError("path link ids must be integers")
         if not self.flows:
             raise ValueError("class needs at least one flow")
 
@@ -124,6 +138,14 @@ class Instance:
     seed: int = 0
 
     def __post_init__(self):
+        if not _is_int(self.paths_per_class) or self.paths_per_class < 1:
+            raise ValueError("paths_per_class must be an integer >= 1")
+        if not _is_int(self.seed):
+            raise ValueError("seed must be an integer")
+        for cls in self.classes:
+            if len(cls.paths) != self.paths_per_class:
+                raise ValueError(f"class {cls.source}->{cls.destination} has {len(cls.paths)} paths, "
+                                 f"not paths_per_class = {self.paths_per_class}")
         expected = len(self.classes) * self.paths_per_class
         if self.routing.cols != expected:
             raise ValueError("routing matrix width inconsistent with classes")
@@ -329,16 +351,16 @@ def instance_from_json(doc: dict) -> Instance:
     if doc.get("version") != SCHEMA_VERSION:
         raise IoError(f"unsupported instance version: {doc.get('version')}")
     net = Network(
-        node_count=int(doc["nodes"]),
-        links=tuple(Link(int(l["tail"]), int(l["head"]), float(l["cap"])) for l in doc["links"]),
-        gateways=tuple(int(g) for g in doc.get("gateways", [])),
-        allow_parallel=bool(doc.get("allow_parallel", False)),
+        node_count=doc["nodes"],
+        links=tuple(Link(l["tail"], l["head"], float(l["cap"])) for l in doc["links"]),
+        gateways=tuple(doc.get("gateways", [])),
+        allow_parallel=doc.get("allow_parallel", False),
     )
     classes = tuple(
         FlowClass(
-            int(c["src"]),
-            int(c["dst"]),
-            tuple(tuple(int(x) for x in p) for p in c["paths"]),
+            c["src"],
+            c["dst"],
+            tuple(tuple(p) for p in c["paths"]),
             tuple(family_from_json(f) for f in c["flows"]),
         )
         for c in doc["classes"]
@@ -348,8 +370,8 @@ def instance_from_json(doc: dict) -> Instance:
         classes,
         routing_matrix(net, classes),
         doc.get("mode", "single-path"),
-        int(doc.get("paths_per_class", 1)),
-        int(doc.get("seed", 0)),
+        doc.get("paths_per_class", 1),
+        doc.get("seed", 0),
     )
 
 

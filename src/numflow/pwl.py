@@ -57,6 +57,8 @@ def pwl_eval(f: PwlConcave, x: float) -> float:
     """Evaluate f at x; -inf for x < 0, constant beyond the last breakpoint."""
     if x < 0:
         return NEG_INF
+    if x == math.inf:  # f(c_B); the flat tail's 0 * inf would give NaN
+        x = f.breakpoints[-1]
     val = f.offset
     c, m = f.breakpoints, f.slopes
     for b in range(len(c)):

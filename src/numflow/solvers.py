@@ -34,14 +34,15 @@ builder, ``_solution``.
 
 All three require weighted-log utilities (the closed-form case). A fourth
 path, ``solve_pwl_aggregate``, handles piecewise-linear utilities via
-supremal convolution and an LP over the convolution's segments, solved by
-HiGHS (``scipy.optimize.linprog``) on a sparse constraint matrix.
+supremal convolution and one bounded LP over the convolutions' segments,
+solved by HiGHS (``scipy.optimize.linprog``): each segment's length bounds
+its variable, and the link capacities are the only rows of the sparse
+constraint matrix.
 """
 
 from __future__ import annotations
 
 import math
-import numbers
 import time
 from dataclasses import asdict, dataclass
 
@@ -50,15 +51,11 @@ import scipy.linalg
 import scipy.optimize
 import scipy.sparse
 
+from . import utility
 from .errors import DimensionMismatch, DomainError, MaxIterExceeded, NotSupportedUtility
-from .netmodel import Instance
-from .pwl import pwl_apportion, pwl_eval
+from .netmodel import Instance, _is_int
+from .pwl import pwl_apportion
 from .utility import FairClasses, PwlUtility, aggregate_kkt_residual
-
-
-def _is_int(v) -> bool:
-    """Whether ``v`` is an integer, numpy's included, and not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 @dataclass(frozen=True)
@@ -585,11 +582,13 @@ def solve_cp(inst: Instance, params: SolverParams) -> Solution:
 # Piecewise-linear path: supremal convolution + LP (HiGHS)
 
 
-def simplex_maximize(obj: np.ndarray, A: np.ndarray | scipy.sparse.sparray, b: np.ndarray):
-    """max obj^T t s.t. A t <= b, t >= 0, with b >= 0 (t = 0 is feasible).
+def simplex_maximize(obj: np.ndarray, A: np.ndarray | scipy.sparse.sparray, b: np.ndarray,
+                     upper: np.ndarray):
+    """max obj^T t s.t. A t <= b, 0 <= t <= upper, with b >= 0 (t = 0 is feasible).
 
-    ``A`` may be dense or ``scipy.sparse``. Solved by HiGHS through
-    ``scipy.optimize.linprog``. Returns (t, value, duals, n_iter):
+    ``A`` may be dense or ``scipy.sparse``; ``upper`` holds one bound per
+    variable, ``np.inf`` where a variable is unbounded. Solved by HiGHS
+    through ``scipy.optimize.linprog``. Returns (t, value, duals, n_iter):
     ``duals`` >= 0 are the multipliers of the rows of A and ``n_iter``
     counts HiGHS iterations. Raises ValueError with HiGHS's message when
     the LP is not solved (e.g. unbounded).
@@ -598,7 +597,8 @@ def simplex_maximize(obj: np.ndarray, A: np.ndarray | scipy.sparse.sparray, b: n
         raise ValueError("simplex requires b >= 0")
     if A.shape[1] == 0:
         return np.zeros(0), 0.0, np.zeros(len(b)), 0
-    res = scipy.optimize.linprog(-obj, A_ub=A, b_ub=b, bounds=(0, None), method="highs")
+    bounds = np.column_stack([np.zeros(A.shape[1]), upper])
+    res = scipy.optimize.linprog(-obj, A_ub=A, b_ub=b, bounds=bounds, method="highs")
     if res.status != 0:
         raise ValueError(res.message)
     return res.x, -float(res.fun), -res.ineqlin.marginals, int(res.nit)
@@ -607,53 +607,36 @@ def simplex_maximize(obj: np.ndarray, A: np.ndarray | scipy.sparse.sparray, b: n
 def solve_pwl_aggregate(inst: Instance, params: SolverParams | None = None) -> Solution:
     """Aggregate LP for piecewise-linear utilities, then greedy apportionment.
 
-    One variable per positive-slope segment of each class's supremal
-    convolution; capacities bound per-segment lengths and link loads.
+    By the aggregation theorem a class's utility is the supremal
+    convolution of its flows'. The LP has one variable per positive-slope
+    segment of each class's convolution, with that segment's slope as its
+    objective coefficient and its length as its upper bound; the link
+    capacities bound the link loads, the LP's only rows. The objective is
+    the LP's value plus every flow's offset (each aggregate's offset sums
+    its class's), and the link duals are the LP's row duals.
     """
     t0 = time.perf_counter()
     if inst.paths_per_class != 1:
         raise NotSupportedUtility("single-path instances only")
-    # looked up at call time so that a patch of numflow.utility.aggregate_class
-    # (the benchmark's tracer) sees the call
-    from .utility import aggregate_class
-
-    members_per_class = []
-    aggregates = []
-    for cls in inst.classes:
+    offset = 0.0
+    segments = []  # (class, slope, length) of every positive-slope segment
+    for i, cls in enumerate(inst.classes):
         if not all(isinstance(f, PwlUtility) for f in cls.flows):
             raise NotSupportedUtility("solve_pwl_aggregate requires piecewise-linear utilities")
-        members_per_class.append([f.fn for f in cls.flows])
-        aggregates.append(aggregate_class(cls.flows).aggregate.fn)
+        # called through the module so that a patch of utility.aggregate_class
+        # (the benchmark's tracer) sees the call
+        agg = utility.aggregate_class(cls.flows).aggregate.fn
+        offset += agg.offset
+        bp, sl = agg.breakpoints, agg.slopes
+        segments += [(i, sl[b], bp[b + 1] - bp[b]) for b in range(len(bp) - 1) if sl[b] > 0]
 
     R = inst.routing.dense()
-    c = inst.network.capacities
-    L, n = R.shape
+    seg = np.asarray(segments, dtype=float).reshape(-1, 3)
+    seg_cls = seg[:, 0].astype(int)
+    t, value, duals, n_iter = simplex_maximize(
+        seg[:, 1], scipy.sparse.csr_array(R[:, seg_cls]), inst.network.capacities, seg[:, 2])
 
-    # segment variables: (class, slope, length)
-    seg_class: list[int] = []
-    seg_slope: list[float] = []
-    seg_len: list[float] = []
-    for i, agg in enumerate(aggregates):
-        bp, sl = agg.breakpoints, agg.slopes
-        for bidx in range(len(bp) - 1):
-            if sl[bidx] > 0:
-                seg_class.append(i)
-                seg_slope.append(sl[bidx])
-                seg_len.append(bp[bidx + 1] - bp[bidx])
-    seg_cls = np.asarray(seg_class, dtype=int)
-    # rows: link loads, then one bound per segment
-    A = scipy.sparse.vstack(
-        [scipy.sparse.csr_array(R[:, seg_cls]), scipy.sparse.identity(len(seg_cls))],
-        format="csr",
-    )
-    b = np.concatenate([c, np.asarray(seg_len)])
-    t, _, duals, n_iter = simplex_maximize(np.asarray(seg_slope), A, b)
-
-    x = np.bincount(seg_cls, weights=t, minlength=n)
-    u = tuple(
-        np.asarray(pwl_apportion(members_per_class[i], x[i])) for i in range(n)
-    )
-    objective = float(
-        sum(pwl_eval(f, ui) for fs, us in zip(members_per_class, u) for f, ui in zip(fs, us))
-    )
-    return _solution(R, x, u, objective, duals[:L], n_iter, True, t0)
+    x = np.bincount(seg_cls, weights=t, minlength=inst.n_classes)
+    u = tuple(np.asarray(pwl_apportion([f.fn for f in cls.flows], x_i))
+              for cls, x_i in zip(inst.classes, x))
+    return _solution(R, x, u, value + offset, duals, n_iter, True, t0)

@@ -238,8 +238,11 @@ def apportion(cu: ClassUtility, x_star: float) -> list[float]:
 
     Equals g'_k evaluated at the aggregate's derivative: a log or
     negative-power member takes its ``FairClasses`` share; the parts
-    always sum to x_star (up to accumulation round-off).
+    always sum to x_star (up to accumulation round-off). A NaN or infinite
+    x_star raises DomainError, whatever the family.
     """
+    if not math.isfinite(x_star):
+        raise DomainError(f"aggregate rate must be finite, got {x_star}")
     members = cu.members
     first = members[0]
     if isinstance(first, (WeightedLog, NegPower)):

@@ -758,6 +758,40 @@ class TestCli:
         assert err.startswith("numflow: ") and err.count("\n") == 1
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("keys, value", [
+        (("nodes",), 6.7),
+        (("links", 0, "tail"), 1.9),
+        (("links", 0, "tail"), True),
+        (("gateways",), [1.5]),
+        (("classes", 0, "src"), lambda v: v + 0.5),
+        (("classes", 0, "paths", 0, 0), lambda v: v + 0.5),
+        (("paths_per_class",), 1.2),
+        (("seed",), 2.5),
+        (("allow_parallel",), "false"),
+    ], ids=["nodes", "tail", "bool-tail", "gateway", "src", "link-id", "paths_per_class", "seed",
+            "allow_parallel"])
+    def test_solve_non_integer_field_usage_error(self, tmp_path, capsys, keys, value):
+        # int() and bool() used to turn each of these into a different, valid instance
+        doc = instance_to_json(gen_instance(small_topology(), 3, seed=1))
+        *outer, last = keys
+        at = functools.reduce(lambda d, k: d[k], outer, doc)
+        at[last] = value(at[last]) if callable(value) else value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        assert cli_main(["solve", str(path), "--solver", "oracle"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numflow: ") and err.count("\n") == 1
+
+    def test_verify_with_one_flow_rate_array_too_few_usage_error(self, tmp_path, capsys):
+        inst = self._gen(tmp_path)
+        sol = tmp_path / "sol.json"
+        assert cli_main(["solve", str(inst), "--solver", "oracle", "--out", str(sol)]) == 0
+        doc = json.loads(sol.read_text())
+        doc["u"].pop()
+        sol.write_text(json.dumps(doc))
+        assert cli_main(["verify", str(inst), str(sol)]) == 1
+        assert capsys.readouterr().err == "numflow: one flow-rate array per class required\n"
+
     def test_missing_key_names_the_key(self, tmp_path, capsys):
         path = tmp_path / "inst.json"
         path.write_text(json.dumps({"version": 1, "nodes": 2}))
@@ -817,6 +851,13 @@ class TestCli:
         f.write_text(json.dumps({"breakpoints": [0.0, 2.0], "slopes": [3.0, 0.0]}))
         assert cli_main(["pwl", "eval", str(f)]) == 1
         assert capsys.readouterr() == ("", "eval requires --x\n")
+
+    @pytest.mark.parametrize("x", ["nan", "inf"])
+    def test_pwl_eval_non_finite_x_usage_error(self, tmp_path, capsys, x):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"breakpoints": [0.0, 2.0], "slopes": [3.0, 0.0]}))
+        assert cli_main(["pwl", "eval", str(f), "--x", x]) == 1
+        assert capsys.readouterr() == ("", f"numflow: --x must be finite, got {x}\n")
 
     def test_pwl_supconv(self, tmp_path, capsys):
         f, g = tmp_path / "f.json", tmp_path / "g.json"

@@ -8,10 +8,11 @@ import math
 import numpy as np
 import pytest
 
-from numflow.errors import InvalidPath, NoPath, TooManyClasses
-from numflow.multipath import gen_multipath_instance
+from numflow.errors import InvalidPath, IoError, NoPath, TooManyClasses
+from numflow.multipath import gen_multipath_instance, k_paths
 from numflow.netmodel import (
     FlowClass,
+    Instance,
     Link,
     Network,
     admissible_pairs,
@@ -71,6 +72,57 @@ class TestNetworkValidation:
     def test_allow_parallel_flag(self):
         net = Network(2, (Link(1, 2, 1.0), Link(1, 2, 2.0)), allow_parallel=True)
         assert len(net.links) == 2
+
+    @pytest.mark.parametrize("kwargs", [
+        {"node_count": 2.0},
+        {"node_count": True},
+        {"links": (Link(1.0, 2, 1.0),)},
+        {"links": (Link(1, True, 1.0),)},
+        {"gateways": (1.5,)},
+    ], ids=["float-nodes", "bool-nodes", "float-tail", "bool-head", "float-gateway"])
+    def test_rejects_non_integers(self, kwargs):
+        with pytest.raises(ValueError, match="integer"):
+            Network(**{"node_count": 2, "links": (Link(1, 2, 1.0),), **kwargs})
+
+    def test_allow_parallel_must_be_a_bool(self):
+        with pytest.raises(TypeError, match="allow_parallel"):
+            Network(2, (Link(1, 2, 1.0),), allow_parallel="false")
+
+
+class TestInstanceValidation:
+    @pytest.mark.parametrize("src, dst, paths", [(1.0, 2, ((1,),)), (1, True, ((1,),)),
+                                                 (1, 2, ((1.0,),))],
+                             ids=["float-src", "bool-dst", "float-link-id"])
+    def test_flow_class_rejects_non_integers(self, src, dst, paths):
+        with pytest.raises(ValueError, match="integer"):
+            FlowClass(src, dst, paths, (WeightedLog(1.0),))
+
+    @pytest.mark.parametrize("kwargs", [{"paths_per_class": 0}, {"paths_per_class": 1.0},
+                                        {"seed": 2.5}, {"seed": True}],
+                             ids=["zero-paths", "float-paths", "float-seed", "bool-seed"])
+    def test_rejects_non_integer_fields(self, kwargs):
+        net = _line_graph()
+        classes = (FlowClass(1, 2, ((1,),), (WeightedLog(1.0),)),)
+        with pytest.raises(ValueError, match="integer"):
+            Instance(net, classes, routing_matrix(net, classes), **kwargs)
+
+    def test_every_class_has_paths_per_class_paths(self, tmp_path):
+        # 3 + 1 paths fill the 2 * 2 routing columns, so the width check alone passed
+        net = small_topology()
+        classes = (FlowClass(1, 4, k_paths(net, 1, 4, 3), (WeightedLog(1.0),)),
+                   FlowClass(2, 3, (dijkstra_path(net, 2, 3),), (WeightedLog(1.0),)))
+        routing = routing_matrix(net, classes)
+        assert routing.cols == 4
+        with pytest.raises(ValueError, match="paths_per_class"):
+            Instance(net, classes, routing, "multipath", 2)
+        doc = instance_to_json(gen_instance(net, 2, seed=1))
+        doc.update(mode="multipath", paths_per_class=2, classes=[
+            {"src": c.source, "dst": c.destination, "paths": [list(p) for p in c.paths],
+             "flows": [{"family": "log", "w": 1.0}]} for c in classes])
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IoError, match="paths_per_class"):
+            load_instance(str(path))
 
 
 class TestDijkstra:

@@ -91,6 +91,12 @@ class TestEval:
         f = PwlConcave((0.0, 2.0), (3.0, 0.0))
         assert pwl_eval(f, 5.0) == 6.0
 
+    def test_infinity_gives_the_tail_constant(self):
+        # the flat tail is f(c_B); 0 * inf must not turn it into NaN
+        f = PwlConcave((0.0, 2.0), (3.0, 0.0), offset=1.0)
+        assert pwl_eval(f, math.inf) == 7.0 == pwl_eval(f, 1e300)
+        assert pwl_eval(PwlConcave((0.0,), (0.0,), offset=1.0), math.inf) == 1.0
+
     def test_negative_argument(self):
         f = PwlConcave((0.0, 2.0), (3.0, 0.0))
         assert pwl_eval(f, -1.0) == -math.inf

@@ -10,7 +10,7 @@ import pytest
 import scipy.linalg
 
 from numflow import solvers
-from numflow.errors import DomainError, MaxIterExceeded, NotSupportedUtility
+from numflow.errors import DimensionMismatch, DomainError, MaxIterExceeded, NotSupportedUtility
 from numflow.harness import oracle_solve
 from numflow.netmodel import (
     FlowClass,
@@ -28,7 +28,7 @@ from numflow.multipath import (
     solve_multipath,
     solve_multipath_aggregate,
 )
-from numflow.pwl import PwlConcave
+from numflow.pwl import PwlConcave, pwl_eval
 from numflow.rng import MixRng, mix
 from numflow.solvers import (
     SolverParams,
@@ -611,6 +611,13 @@ class TestProjectPolytope:
         with pytest.raises(DomainError):
             project_polytope_with_duals(np.asarray([bad, 1.0]), np.asarray([[1.0, 1.0]]), [10.0])
 
+    @pytest.mark.parametrize("c, x", [([10.0], [1.0, 2.0]), ([10.0, 10.0], [1.0])],
+                             ids=["capacities", "point"])
+    def test_dimension_mismatch(self, c, x):
+        R = np.asarray([[1.0, 1.0], [1.0, 0.0]])
+        with pytest.raises(DimensionMismatch):
+            project_polytope_with_duals(np.asarray(x), R, np.asarray(c))
+
     def test_non_expansive(self):
         rng = MixRng(67)
         R = small_topology()
@@ -979,6 +986,7 @@ class TestSimplex:
             np.asarray([3.0, 2.0]),
             np.asarray([[1.0, 1.0], [1.0, 0.0]]),
             np.asarray([4.0, 2.0]),
+            np.full(2, np.inf),
         )
         assert t == pytest.approx([2.0, 2.0])
         assert val == pytest.approx(10.0)
@@ -986,7 +994,7 @@ class TestSimplex:
 
     def test_zero_rhs(self):
         t, val, _, _ = simplex_maximize(
-            np.asarray([1.0]), np.asarray([[1.0]]), np.asarray([0.0])
+            np.asarray([1.0]), np.asarray([[1.0]]), np.asarray([0.0]), np.full(1, np.inf)
         )
         assert t[0] == 0.0 and val == 0.0
 
@@ -999,7 +1007,7 @@ class TestSimplex:
             [0.0, 0.0, 1.0, 0.0],
         ])
         b = np.asarray([0.0, 0.0, 1.0])
-        t, val, duals, _ = simplex_maximize(obj, A, b)
+        t, val, duals, _ = simplex_maximize(obj, A, b, np.full(4, np.inf))
         assert val == pytest.approx(1.25, abs=1e-12)
         assert obj @ t == pytest.approx(1.25, abs=1e-12)
         assert duals == pytest.approx([0.0, 1.5, 1.25], abs=1e-12)
@@ -1009,12 +1017,25 @@ class TestSimplex:
         # max x + y s.t. x - y <= 1: y grows without bound
         with pytest.raises(ValueError):
             simplex_maximize(
-                np.asarray([1.0, 1.0]), np.asarray([[1.0, -1.0]]), np.asarray([1.0])
+                np.asarray([1.0, 1.0]), np.asarray([[1.0, -1.0]]), np.asarray([1.0]),
+                np.full(2, np.inf),
             )
+
+    def test_finite_upper_bound_binds(self):
+        # max 3x + 2y s.t. x + y <= 4, x <= 2, y <= 1.5: the bound on y binds, not x + y
+        upper = np.asarray([np.inf, 1.5])
+        t, val, duals, _ = simplex_maximize(
+            np.asarray([3.0, 2.0]), np.asarray([[1.0, 1.0], [1.0, 0.0]]), np.asarray([4.0, 2.0]),
+            upper,
+        )
+        assert np.all(t <= upper)
+        assert t == pytest.approx([2.0, 1.5]) and val == pytest.approx(9.0)
+        assert duals.shape == (2,) and duals == pytest.approx([0.0, 3.0])
 
     def test_negative_rhs_rejected(self):
         with pytest.raises(ValueError):
-            simplex_maximize(np.asarray([1.0]), np.asarray([[1.0]]), np.asarray([-1.0]))
+            simplex_maximize(np.asarray([1.0]), np.asarray([[1.0]]), np.asarray([-1.0]),
+                             np.full(1, np.inf))
 
 
 def _random_pwl(rng: MixRng) -> PwlConcave:
@@ -1079,13 +1100,17 @@ class TestSolvePwlAggregate:
         sol = solve_pwl_aggregate(Instance(net, (), routing_matrix(net, ())))
         assert sol.l_max == 0.0 and sol.x.shape == (0,) and sol.u == ()
 
-    @pytest.mark.parametrize("n, seed", [(8, 3), (20, 5)])
+    @pytest.mark.parametrize("n, seed", [(8, 3), (20, 5), (30, 11)])
     def test_kkt_check_passes(self, n, seed):
         inst = _pwl_instance(n, seed)
         sol = solve_pwl_aggregate(inst)
         assert np.max(sol.rho) > 0  # some link binds
         report = kkt_check(inst, sol.x, sol.u, sol.rho, tol=1e-9)
         assert report.passed, report
+        # the LP value plus the offsets is the utility of the returned rates
+        total = sum(pwl_eval(f.fn, r) for cls, ui in zip(inst.classes, sol.u)
+                    for f, r in zip(cls.flows, ui))
+        assert sol.objective == pytest.approx(total, rel=1e-12, abs=0.0)
 
     def test_kkt_check_fails_without_link_duals(self):
         inst = _pwl_instance(20, 5)

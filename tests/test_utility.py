@@ -5,7 +5,8 @@ import math
 import numpy as np
 import pytest
 
-from numflow.errors import DomainError, MixedExponent, MixedTags, NotLegendre, NotSupportedUtility
+from numflow.errors import (DimensionMismatch, DomainError, MixedExponent, MixedTags, NotLegendre,
+                            NotSupportedUtility)
 from numflow.netmodel import (
     FlowClass,
     Instance,
@@ -155,6 +156,16 @@ class TestApportion:
         with pytest.raises(DomainError):
             apportion(cq, 3.0)  # below z_bar - K*z_min = 4
 
+    @pytest.mark.parametrize("x", [math.nan, math.inf])
+    @pytest.mark.parametrize("members", [
+        [WeightedLog(1.0), WeightedLog(3.0)],
+        [NegPower(1.0, 2.0), NegPower(4.0, 2.0)],
+        [Quadratic(1.0), Quadratic(5.0)],
+    ], ids=["log", "power", "quadratic"])
+    def test_non_finite_rate_is_a_domain_error(self, members, x):
+        with pytest.raises(DomainError, match="finite"):
+            apportion(aggregate_class(members), x)
+
     def test_conservation(self):
         rng = MixRng(13)
         for _ in range(20):
@@ -231,6 +242,21 @@ class TestKktCheck:
         assert rep.complementary_slackness <= 1e-12
         assert rep.stationarity >= 0.5
         assert not rep.passed
+
+    @pytest.mark.parametrize("bad", [
+        {"x": [2.5, 7.5, 1.0]},
+        {"mu": np.zeros(3)},
+        {"u": [[2.5], [3.75, 3.75, 0.0]]},
+        {"lam": [0.4, 0.4]},
+        {"u": [[2.5]]},
+    ], ids=["x", "mu", "class-rates", "lam", "one-u-too-few"])
+    def test_dimension_mismatch(self, bad):
+        inst = _single_link_instance(
+            [[WeightedLog(1.0)], [WeightedLog(1.5), WeightedLog(1.5)]]
+        )
+        good = {"x": [2.5, 7.5], "u": [[2.5], [3.75, 3.75]], "lam": [0.4], "mu": None}
+        with pytest.raises(DimensionMismatch):
+            kkt_check(inst, **{**good, **bad})
 
     def test_two_class_water_filling(self):
         inst = _single_link_instance(
