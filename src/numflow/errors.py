@@ -1,4 +1,20 @@
-"""Exception types shared across the package."""
+"""Exception types, and the type rules for numbers read from files, shared
+across the package."""
+
+import numbers
+
+
+def _is_int(v) -> bool:
+    """Whether ``v`` is an integer, numpy's included, and not a bool."""
+    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+
+
+def _real(v, name: str) -> float:
+    """``v`` as a float. A file's real-valued field must hold a JSON number:
+    a bool or a string raises TypeError naming ``name``."""
+    if not isinstance(v, numbers.Real) or isinstance(v, bool):
+        raise TypeError(f"{name} must be a number, got {v!r}")
+    return float(v)
 
 
 class NumflowError(Exception):

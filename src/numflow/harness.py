@@ -3,12 +3,12 @@
 The oracle solves the link-price dual over the nonnegative orthant by one
 primal-dual interior-point Newton loop in the link prices and the link
 slacks. By the paper's aggregation theorem each class enters the dual only
-through its aggregate, so each Newton step costs one L x L Cholesky factor,
-whatever the number of flows. The class rates at the final path prices get
-the share split every alpha-fair solver uses, and the result is accepted
-only if its flow-level KKT residual, which takes each flow's own conjugate
-derivative, meets the tolerance. It shares no iteration machinery with the
-first-order solvers.
+through its aggregate, so each Newton step costs one L x L linear solve
+(``numpy.linalg.solve``), whatever the number of flows. The class rates at
+the final path prices get the share split every alpha-fair solver uses, and
+the result is accepted only if its flow-level KKT residual, which takes each
+flow's own conjugate derivative, meets the tolerance. It shares no iteration
+machinery with the first-order solvers.
 """
 
 from __future__ import annotations
@@ -21,10 +21,9 @@ import time
 from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
-import scipy.linalg
 
-from .errors import NonConvergence, NotSupportedUtility
-from .netmodel import (Instance, Network, _is_int, gen_instance, iridium_topology, load_instance,
+from .errors import NonConvergence, NotSupportedUtility, _is_int
+from .netmodel import (Instance, Network, gen_instance, iridium_topology, load_instance,
                        small_topology, write_text)
 from .rng import mix
 from .solvers import SolverParams, Solution, _solution, solve_admm, solve_cp, solve_gradproj
@@ -52,11 +51,12 @@ def oracle_solve(inst: Instance, tol: float = 1e-7) -> Solution:
 
         (R D R^T + diag(s / rho)) d_rho = (sigma mu - rho s) / rho - r_p
 
-    by one L x L Cholesky factor, with D = -dx/dv, mu = rho.s / L and
-    sigma = min(0.1, err), and keeps 0.99 of the step to the boundary of
-    rho and s. The diagonal of R D R^T is raised by 1e-12 of itself, so
-    that the factor exists when the saturated links are dependent and
-    their prices are not unique. err is the largest |r_p| or rho s over the
+    by one L x L ``numpy.linalg.solve``, with D = -dx/dv, mu = rho.s / L
+    and sigma = min(0.1, err), and keeps 0.99 of the step to the boundary
+    of rho and s. The diagonal of R D R^T is raised by 1e-12 of itself, so
+    that the system stays nonsingular when the saturated links are
+    dependent and their prices are not unique; a singular system raises
+    NonConvergence. err is the largest |r_p| or rho s over the
     links, each divided by max(c, 1); the loop stops when err <= 1e-10
     and raises NonConvergence after 100 steps. ``n_iter`` counts the
     Newton steps. The result must then pass the flow-level KKT check at
@@ -100,7 +100,7 @@ def oracle_solve(inst: Instance, tol: float = 1e-7) -> Solution:
         H = np.bincount(pair, weights=-slope[pair_cls], minlength=n_links**2).reshape(n_links, n_links)
         H.flat[::n_links + 1] = H.flat[::n_links + 1] * (1.0 + 1e-12) + s / rho
         try:
-            d_rho = scipy.linalg.cho_solve(scipy.linalg.cho_factor(H), target / rho - r_p)
+            d_rho = np.linalg.solve(H, target / rho - r_p)
         except np.linalg.LinAlgError as exc:
             raise NonConvergence(f"oracle Newton system is singular: {exc}") from exc
         d_s = (target - s * d_rho) / rho

@@ -15,23 +15,17 @@ from __future__ import annotations
 
 import json
 import math
-import numbers
 from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .errors import InvalidPath, IoError, NoPath, TooManyClasses
+from .errors import InvalidPath, IoError, NoPath, TooManyClasses, _is_int, _real
 from .rng import MixRng
 from .utility import NegPower, UtilityFamily, WeightedLog, family_from_json, family_to_json
 
 SCHEMA_VERSION = 1
-
-
-def _is_int(v) -> bool:
-    """Whether ``v`` is an integer, numpy's included, and not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
 
 
 class Link(NamedTuple):
@@ -142,6 +136,11 @@ class Instance:
             raise ValueError("paths_per_class must be an integer >= 1")
         if not _is_int(self.seed):
             raise ValueError("seed must be an integer")
+        if self.mode not in ("single-path", "multipath"):
+            raise ValueError(f"mode must be 'single-path' or 'multipath', got {self.mode!r}")
+        if self.mode == "single-path" and self.paths_per_class != 1:
+            raise ValueError(f"a single-path instance has paths_per_class = 1, "
+                             f"not {self.paths_per_class}")
         for cls in self.classes:
             if len(cls.paths) != self.paths_per_class:
                 raise ValueError(f"class {cls.source}->{cls.destination} has {len(cls.paths)} paths, "
@@ -352,7 +351,7 @@ def instance_from_json(doc: dict) -> Instance:
         raise IoError(f"unsupported instance version: {doc.get('version')}")
     net = Network(
         node_count=doc["nodes"],
-        links=tuple(Link(l["tail"], l["head"], float(l["cap"])) for l in doc["links"]),
+        links=tuple(Link(l["tail"], l["head"], _real(l["cap"], "cap")) for l in doc["links"]),
         gateways=tuple(doc.get("gateways", [])),
         allow_parallel=doc.get("allow_parallel", False),
     )

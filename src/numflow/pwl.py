@@ -18,7 +18,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .errors import DomainError
+from .errors import DomainError, _real
 
 #: values closer than this are merged to avoid zero-length segments
 MERGE_TOL = 1e-12
@@ -125,10 +125,11 @@ def pwl_apportion(members: list[PwlConcave], x_star: float) -> list[float]:
     index, then segment, as one member's slopes are distinct). Zero-slope
     tails are never filled, so the result sums to min(x_star, total
     capacity of all members) and attains the supremal-convolution value at
-    x_star.
+    x_star; x_star = inf fills every segment. A negative or NaN x_star
+    raises DomainError.
     """
-    if x_star < 0:
-        raise DomainError("x_star must be nonnegative")
+    if not x_star >= 0:  # NaN fails too
+        raise DomainError(f"x_star must be nonnegative, got {x_star}")
     out = [0.0] * len(members)
     remaining = x_star
     for _, mi, length in _segments(members):
@@ -149,7 +150,7 @@ def pwl_to_json(f: PwlConcave) -> dict:
 
 def pwl_from_json(doc: dict) -> PwlConcave:
     return PwlConcave(
-        breakpoints=tuple(float(v) for v in doc["breakpoints"]),
-        slopes=tuple(float(v) for v in doc["slopes"]),
-        offset=float(doc.get("offset", 0.0)),
+        breakpoints=tuple(_real(v, "breakpoints") for v in doc["breakpoints"]),
+        slopes=tuple(_real(v, "slopes") for v in doc["slopes"]),
+        offset=_real(doc.get("offset", 0.0), "offset"),
     )

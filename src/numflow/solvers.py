@@ -27,6 +27,10 @@ Three solvers share the aggregate-flow structure:
   it solves the least-distance problem cold, as NNLS by
   ``scipy.optimize.nnls``, and takes the next face from its multipliers.
 
+Linear algebra is numpy's. scipy is imported only where it runs: by the
+cold projection (NNLS) and by the LP path (HiGHS and its sparse matrix),
+so ``import numflow`` and the ADMM, CP and oracle solves load no scipy.
+
 Each apportions the aggregate rates to flows once, after the loop, by the
 share split every alpha-fair solver uses: ``utility.FairClasses``. Every
 solver, here and in ``multipath`` and ``harness``, returns through one
@@ -45,17 +49,18 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import asdict, dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-import scipy.linalg
-import scipy.optimize
-import scipy.sparse
 
 from . import utility
-from .errors import DimensionMismatch, DomainError, MaxIterExceeded, NotSupportedUtility
-from .netmodel import Instance, _is_int
+from .errors import DimensionMismatch, DomainError, MaxIterExceeded, NotSupportedUtility, _is_int
+from .netmodel import Instance
 from .pwl import pwl_apportion
 from .utility import FairClasses, PwlUtility, aggregate_kkt_residual
+
+if TYPE_CHECKING:
+    import scipy.sparse
 
 
 @dataclass(frozen=True)
@@ -141,9 +146,9 @@ def _solution(R, x, u, objective, rho, n_iter, converged, t0, lam=None, mu=None)
 class SpdFactor:
     """Solver for (I + R^T R) x = a + R^T v, reusable across iterations.
 
-    The L x L inverse C^{-1} of C = I + R R^T is formed once, from a
-    Cholesky factor; C has eigenvalues >= 1, so it is well conditioned
-    for any shape of R. By the push-through identity
+    The L x L inverse C^{-1} of C = I + R R^T is formed once, by
+    ``numpy.linalg.inv``; C has eigenvalues >= 1, so it is well
+    conditioned for any shape of R. By the push-through identity
     (I + R^T R)^{-1} R^T = R^T C^{-1},
 
         w = C^{-1} (v - R a),  x = a + R^T w,  R x = v - w,
@@ -154,8 +159,7 @@ class SpdFactor:
     def __init__(self, R: np.ndarray):
         L = R.shape[0]
         self._R = R
-        cho = scipy.linalg.cho_factor(np.eye(L) + R @ R.T)
-        self._c_inv = scipy.linalg.cho_solve(cho, np.eye(L))
+        self._c_inv = np.linalg.inv(np.eye(L) + R @ R.T)
 
     def solve_split(self, a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """x solving (I + R^T R) x = a + R^T v, and R x."""
@@ -297,6 +301,8 @@ def _project_qp(z: np.ndarray, G: np.ndarray, h: np.ndarray, max_changes: int):
     Requires x = 0 feasible (h >= 0). Returns (x, nu) with nu the
     multipliers of all rows. ``max_changes`` caps each NNLS solve.
     """
+    from scipy.optimize import nnls
+
     x, nu = z, np.zeros(len(h))
     e_last = np.zeros(G.shape[1] + 1)
     e_last[-1] = 1.0
@@ -305,7 +311,7 @@ def _project_qp(z: np.ndarray, G: np.ndarray, h: np.ndarray, max_changes: int):
         s = max(1.0, float(np.max(np.abs(b))))
         E = np.vstack([-G.T, b / s])
         try:
-            u, _ = scipy.optimize.nnls(E, e_last, maxiter=max_changes)
+            u, _ = nnls(E, e_last, maxiter=max_changes)
         except RuntimeError as exc:
             raise MaxIterExceeded("projection NNLS did not settle") from exc
         r = E @ u - e_last
@@ -339,10 +345,12 @@ class _PolytopeProjector:
         nu_B = (M M^T)^{-1} (M z_F - c_B),  x_F = z_F - M^T nu_B,  x_Z = 0,
         mu_Z = R[B, Z]^T nu_B - z_Z,
 
-    with (M M^T)^{-1} M and (M M^T)^{-1} c_B formed once per face from a
-    Cholesky factor of M M^T. When nu_B >= 0, mu_Z >= 0 and x >= 0 hold exactly and R x <= c holds
-    to ``_feasibility_bound``, these satisfy the projection's KKT
-    conditions, so x is the projection and the pair is returned.
+    with (M M^T)^{-1} M and (M M^T)^{-1} c_B formed once per face by one
+    ``numpy.linalg.solve``, after a Cholesky factor of M M^T has shown it
+    positive definite with no tiny pivot. When nu_B >= 0, mu_Z >= 0 and
+    x >= 0 hold exactly and R x <= c holds to ``_feasibility_bound``, these
+    satisfy the projection's KKT conditions, so x is the projection and the
+    pair is returned.
     Otherwise the call runs ``_project_qp`` and reads the next face off the
     multipliers it returns. A face whose M M^T is singular (dependent
     rows, so its multipliers are not unique) is not kept, and the next
@@ -391,14 +399,14 @@ class _PolytopeProjector:
         if len(B):
             gram = M @ M.T
             try:
-                cho = scipy.linalg.cho_factor(gram)
+                chol = np.linalg.cholesky(gram)
             except np.linalg.LinAlgError:
                 return None
             # round-off can leave a tiny positive pivot where rows are dependent
-            if np.min(np.diag(cho[0])) ** 2 <= 1e-10 * np.max(np.diag(gram)):
+            if np.min(np.diag(chol)) ** 2 <= 1e-10 * np.max(np.diag(gram)):
                 return None
-            K = scipy.linalg.cho_solve(cho, M)
-            q = scipy.linalg.cho_solve(cho, self._c[B])
+            Kq = np.linalg.solve(gram, np.column_stack((M, self._c[B])))
+            K, q = Kq[:, :-1], Kq[:, -1]
         else:
             K, q = np.zeros((0, len(F))), np.zeros(0)
         NT = np.ascontiguousarray(self._R[np.ix_(B, Z)].T)
@@ -597,8 +605,10 @@ def simplex_maximize(obj: np.ndarray, A: np.ndarray | scipy.sparse.sparray, b: n
         raise ValueError("simplex requires b >= 0")
     if A.shape[1] == 0:
         return np.zeros(0), 0.0, np.zeros(len(b)), 0
+    from scipy.optimize import linprog
+
     bounds = np.column_stack([np.zeros(A.shape[1]), upper])
-    res = scipy.optimize.linprog(-obj, A_ub=A, b_ub=b, bounds=bounds, method="highs")
+    res = linprog(-obj, A_ub=A, b_ub=b, bounds=bounds, method="highs")
     if res.status != 0:
         raise ValueError(res.message)
     return res.x, -float(res.fun), -res.ineqlin.marginals, int(res.nit)
@@ -630,11 +640,13 @@ def solve_pwl_aggregate(inst: Instance, params: SolverParams | None = None) -> S
         bp, sl = agg.breakpoints, agg.slopes
         segments += [(i, sl[b], bp[b + 1] - bp[b]) for b in range(len(bp) - 1) if sl[b] > 0]
 
+    from scipy.sparse import csr_array
+
     R = inst.routing.dense()
     seg = np.asarray(segments, dtype=float).reshape(-1, 3)
     seg_cls = seg[:, 0].astype(int)
     t, value, duals, n_iter = simplex_maximize(
-        seg[:, 1], scipy.sparse.csr_array(R[:, seg_cls]), inst.network.capacities, seg[:, 2])
+        seg[:, 1], csr_array(R[:, seg_cls]), inst.network.capacities, seg[:, 2])
 
     x = np.bincount(seg_cls, weights=t, minlength=inst.n_classes)
     u = tuple(np.asarray(pwl_apportion([f.fn for f in cls.flows], x_i))

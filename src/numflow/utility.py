@@ -36,6 +36,7 @@ from .errors import (
     MixedTags,
     NotLegendre,
     NotSupportedUtility,
+    _real,
 )
 from .pwl import NEG_INF, PwlConcave, pwl_apportion, pwl_eval, pwl_from_json, pwl_supconv, pwl_to_json
 
@@ -445,11 +446,11 @@ def family_to_json(f: UtilityFamily) -> dict:
 def family_from_json(doc: dict) -> UtilityFamily:
     fam = doc["family"]
     if fam == "log":
-        return WeightedLog(float(doc["w"]))
+        return WeightedLog(_real(doc["w"], "w"))
     if fam == "power":
-        return NegPower(float(doc["w"]), float(doc["a"]))
+        return NegPower(_real(doc["w"], "w"), _real(doc["a"], "a"))
     if fam == "quad":
-        return Quadratic(float(doc["z"]))
+        return Quadratic(_real(doc["z"], "z"))
     if fam == "pwl":
         return PwlUtility(pwl_from_json(doc))
     raise ValueError(f"unknown family tag: {fam}")

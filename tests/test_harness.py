@@ -341,9 +341,9 @@ class TestOracle:
 
     def test_singular_newton_system_is_non_convergence(self, monkeypatch):
         def fail(*args, **kwargs):
-            raise np.linalg.LinAlgError("2-th leading minor of the array is not positive definite")
+            raise np.linalg.LinAlgError("Singular matrix")
 
-        monkeypatch.setattr(harness.scipy.linalg, "cho_factor", fail)
+        monkeypatch.setattr(harness.np.linalg, "solve", fail)
         with pytest.raises(NonConvergence, match="Newton system is singular"):
             oracle_solve(gen_instance(small_topology(), 5, seed=1))
 
@@ -781,6 +781,43 @@ class TestCli:
         assert cli_main(["solve", str(path), "--solver", "oracle"]) == 1
         err = capsys.readouterr().err
         assert err.startswith("numflow: ") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("family, keys, value", [
+        ("log", ("links", 0, "cap"), True),
+        ("log", ("links", 0, "cap"), "10"),
+        ("log", ("classes", 0, "flows", 0, "w"), "0.5"),
+        ("log", ("classes", 0, "flows", 0, "w"), True),
+        ("power", ("classes", 0, "flows", 0, "w"), False),
+        ("power", ("classes", 0, "flows", 0, "a"), "2"),
+        ("pwl", ("classes", 0, "flows", 0, "breakpoints"), ["0", "2"]),
+        ("pwl", ("classes", 0, "flows", 0, "slopes"), [True, 0.0]),
+        ("pwl", ("classes", 0, "flows", 0, "offset"), "1.5"),
+    ], ids=["bool-cap", "str-cap", "str-w", "bool-w", "bool-power-w", "str-a", "str-breakpoints",
+            "bool-slope", "str-offset"])
+    def test_solve_non_number_real_field_usage_error(self, tmp_path, capsys, family, keys, value):
+        # float() used to turn each of these into a number
+        spec = {"family": "power", "a": 2.0} if family == "power" else {}
+        doc = instance_to_json(gen_instance(small_topology(), 3, 1, spec))
+        if family == "pwl":
+            for cls in doc["classes"]:
+                cls["flows"] = [{"family": "pwl", "breakpoints": [0.0, 2.0], "slopes": [3.0, 0.0]}]
+        *outer, last = keys
+        functools.reduce(lambda d, k: d[k], outer, doc)[last] = value
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        solver = "pwl" if family == "pwl" else "oracle"
+        assert cli_main(["solve", str(path), "--solver", solver]) == 1
+        shown = value[0] if isinstance(value, list) else value
+        assert capsys.readouterr().err == f"numflow: {last} must be a number, got {shown!r}\n"
+
+    @pytest.mark.parametrize("edit", [{"breakpoints": [0, "2"]}, {"slopes": ["3", 0]},
+                                      {"offset": True}], ids=["breakpoints", "slopes", "offset"])
+    def test_pwl_eval_non_number_field_usage_error(self, tmp_path, capsys, edit):
+        f = tmp_path / "f.json"
+        f.write_text(json.dumps({"breakpoints": [0.0, 2.0], "slopes": [3.0, 0.0], **edit}))
+        assert cli_main(["pwl", "eval", str(f), "--x", "1"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numflow: ") and "must be a number" in err and err.count("\n") == 1
 
     def test_verify_with_one_flow_rate_array_too_few_usage_error(self, tmp_path, capsys):
         inst = self._gen(tmp_path)

@@ -125,6 +125,33 @@ class TestInstanceValidation:
             load_instance(str(path))
 
 
+    def test_mode_must_be_known(self, tmp_path):
+        net = _line_graph()
+        classes = (FlowClass(1, 2, ((1,),), (WeightedLog(1.0),)),)
+        with pytest.raises(ValueError, match="mode must be"):
+            Instance(net, classes, routing_matrix(net, classes), "bogus")
+        doc = instance_to_json(gen_instance(small_topology(), 3, seed=1))
+        doc["mode"] = "bogus"
+        path = tmp_path / "inst.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(IoError, match="mode must be 'single-path' or 'multipath', got 'bogus'"):
+            load_instance(str(path))
+
+    def test_single_path_has_one_path_per_class(self):
+        net = small_topology()
+        classes = (FlowClass(1, 4, k_paths(net, 1, 4, 2), (WeightedLog(1.0),)),)
+        routing = routing_matrix(net, classes)
+        with pytest.raises(ValueError, match="single-path instance has paths_per_class = 1, not 2"):
+            Instance(net, classes, routing, "single-path", 2)
+        assert Instance(net, classes, routing, "multipath", 2).paths_per_class == 2
+
+    def test_multipath_with_one_path_per_class_is_legal(self):
+        net = _line_graph()
+        classes = (FlowClass(1, 2, ((1,),), (WeightedLog(1.0),)),)
+        inst = Instance(net, classes, routing_matrix(net, classes), "multipath", 1)
+        assert instance_from_json(instance_to_json(inst)) == inst
+
+
 class TestDijkstra:
     def test_line_graph_full(self):
         assert dijkstra_path(_line_graph(), 1, 3) == (1, 2)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from numflow.errors import DomainError
 from numflow.pwl import (
     PwlConcave,
     pwl_apportion,
@@ -238,6 +239,17 @@ class TestApportion:
         assert pwl_apportion([g, f], 2.5) == [1.0, 1.5]
         assert pwl_apportion([f, g], 2.5) == [2.0, 0.5]
 
+    def test_nan_is_a_domain_error(self):
+        f = PwlConcave((0.0, 2.0), (3.0, 0.0))
+        with pytest.raises(DomainError, match="nonnegative, got nan"):
+            pwl_apportion([f, f], math.nan)
+
+    def test_infinite_rate_fills_every_segment(self):
+        # min(x_star, total capacity) is the total
+        f = PwlConcave((0.0, 2.0), (3.0, 0.0))
+        g = PwlConcave((0.0, 1.0, 4.0), (3.0, 1.0, 0.0))
+        assert pwl_apportion([f, g], math.inf) == [2.0, 4.0]
+
     def test_attains_supremal_convolution_value(self):
         rng = MixRng(31)
         for _ in range(10):
@@ -255,3 +267,17 @@ def test_json_round_trip():
     assert pwl_from_json(pwl_to_json(f)) == f
     g = PwlConcave((0.0, 2.0), (3.0, 0.0))
     assert pwl_from_json(pwl_to_json(g)) == g
+
+
+@pytest.mark.parametrize("edit", [
+    {"breakpoints": ["0", "2"]},
+    {"breakpoints": [0.0, True]},
+    {"slopes": [3.0, False]},
+    {"slopes": ["3", 0.0]},
+    {"offset": "1.5"},
+    {"offset": True},
+], ids=["str-breakpoints", "bool-breakpoint", "bool-slope", "str-slope", "str-offset", "bool-offset"])
+def test_from_json_requires_numbers(edit):
+    # float() used to turn each of these into a valid function
+    with pytest.raises(TypeError, match="must be a number"):
+        pwl_from_json({"breakpoints": [0.0, 2.0], "slopes": [3.0, 0.0], **edit})
