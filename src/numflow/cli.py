@@ -16,7 +16,7 @@ from dataclasses import asdict
 import numpy as np
 
 from . import harness, pwl
-from .errors import MaxIterExceeded, NonConvergence, NumflowError
+from .errors import MaxIterExceeded, NonConvergence, NumflowError, _real
 from .netmodel import gen_instance, load_instance, read_json, save_instance, write_text
 from .solvers import SolverParams, solve_pwl_aggregate
 
@@ -94,11 +94,21 @@ def _load_params(path: str | None) -> SolverParams:
 
 
 def _solution_from_json(doc: dict):
-    """x, u, rho and mu of a solution document as float arrays; rho and mu may be None."""
-    def floats(v):
-        return None if v is None else np.asarray(v, dtype=float)
+    """x, u, rho and mu of a solution document as float arrays; rho and mu may be None.
 
-    return floats(doc["x"]), [floats(ui) for ui in doc["u"]], floats(doc.get("rho")), floats(doc.get("mu"))
+    Every entry, at any depth of nesting, must be a JSON number (``errors._real``).
+    """
+    def floats(v, name):
+        def reals(v):
+            return [reals(e) for e in v] if isinstance(v, list) else _real(v, name)
+
+        return np.asarray(reals(v), dtype=float)
+
+    def optional(v, name):
+        return None if v is None else floats(v, name)
+
+    return (floats(doc["x"], "x"), [floats(ui, "u") for ui in doc["u"]],
+            optional(doc.get("rho"), "rho"), optional(doc.get("mu"), "mu"))
 
 
 def _cmd_gen(args) -> int:

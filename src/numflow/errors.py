@@ -6,7 +6,7 @@ import numbers
 
 def _is_int(v) -> bool:
     """Whether ``v`` is an integer, numpy's included, and not a bool."""
-    return isinstance(v, numbers.Integral) and not isinstance(v, bool)
+    return type(v) is int or (isinstance(v, numbers.Integral) and not isinstance(v, bool))
 
 
 def _real(v, name: str) -> float:

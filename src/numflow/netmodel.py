@@ -17,7 +17,7 @@ import json
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -73,6 +73,23 @@ class Network:
         for v in adj:
             adj[v].sort()
         return adj
+
+    @cached_property
+    def in_links(self) -> dict[int, list[tuple[int, int]]]:
+        """node -> [(tail, link id)] of the links into it."""
+        adj: dict[int, list[tuple[int, int]]] = {v: [] for v in range(1, self.node_count + 1)}
+        for lid, link in enumerate(self.links, start=1):
+            adj[link.head].append((link.tail, lid))
+        return adj
+
+    @cached_property
+    def _hop_tables(self) -> dict[int, list[int]]:
+        """dst -> ``_next_links(self, dst)``, filled by ``dijkstra_path`` as it meets each dst.
+
+        It lives and dies with this network: no table is shared between two
+        ``Network`` objects, even equal ones.
+        """
+        return {}
 
     @cached_property
     def capacities(self) -> np.ndarray:
@@ -161,41 +178,55 @@ def dijkstra_path(net: Network, src: int, dst: int, excluded: frozenset[int] = f
 
     Ties are broken by smallest next node id, then smallest link id; links in
     ``excluded`` are ignored. Raises :class:`NoPath` if dst is unreachable.
+
+    The path is walked along dst's next-link table (``_next_links``). Without
+    excluded links that table is built once per network and destination and
+    kept on the network, so routing N classes costs one search per distinct
+    destination; a call with excluded links builds its own.
     """
     if src == dst:
         raise ValueError("source equals destination")
+    if excluded:
+        next_link = _next_links(net, dst, excluded)
+    else:
+        next_link = net._hop_tables.get(dst)
+        if next_link is None:
+            next_link = net._hop_tables[dst] = _next_links(net, dst, excluded)
+    if src not in range(1, net.node_count + 1) or not next_link[src]:
+        raise NoPath(f"no path from {src} to {dst}")
+    path = []
+    v = src
+    while v != dst:
+        lid = next_link[v]
+        path.append(lid)
+        v = net.links[lid - 1].head
+    return tuple(path)
+
+
+def _next_links(net: Network, dst: int, excluded: frozenset[int]) -> list[int]:
+    """Entry v is the id of node v's first link on its tie-broken minimum-hop
+    path to dst, avoiding the ``excluded`` links; 0 at dst, at every node
+    that cannot reach it, and at the unused entry 0."""
     # hop distances to dst over reversed links
-    rev: dict[int, list[int]] = {v: [] for v in range(1, net.node_count + 1)}
-    for lid, link in enumerate(net.links, start=1):
-        if lid not in excluded:
-            rev[link.head].append(link.tail)
     dist = {dst: 0}
     frontier = [dst]
     while frontier:
         nxt = []
         for v in frontier:
-            for u in rev[v]:
-                if u not in dist:
+            for u, lid in net.in_links[v]:
+                if u not in dist and lid not in excluded:
                     dist[u] = dist[v] + 1
                     nxt.append(u)
         frontier = nxt
-    if src not in dist:
-        raise NoPath(f"no path from {src} to {dst}")
-    # forward walk choosing the lexicographically smallest continuation
-    path = []
-    v = src
-    while v != dst:
-        step = None
-        for head, lid in net.out_links[v]:  # sorted by (head, link id)
-            if lid in excluded:
-                continue
-            if dist.get(head, -1) == dist[v] - 1:
-                step = (head, lid)
-                break
-        assert step is not None
-        path.append(step[1])
-        v = step[0]
-    return tuple(path)
+    # each node's lexicographically smallest continuation
+    next_link = [0] * (net.node_count + 1)
+    for v, d in dist.items():
+        if v != dst:
+            for head, lid in net.out_links[v]:  # sorted by (head, link id)
+                if dist.get(head) == d - 1 and lid not in excluded:
+                    next_link[v] = lid
+                    break
+    return next_link
 
 
 def validate_path(net: Network, src: int, dst: int, path: Sequence[int]) -> None:
@@ -305,21 +336,36 @@ def gen_instance(
 
 def draw_classes(rng: MixRng, endpoints: Sequence[tuple], spec: dict) -> tuple[FlowClass, ...]:
     """One class per (src, dst, paths) of ``endpoints``, each drawing K uniform
-    on {10,...,20}, then K weights uniform on (0,1) made flows by ``spec``."""
+    on {10,...,20}, then K weights uniform on (0,1) made flows by ``spec``.
+
+    Each class takes its draws in order, K as ``rng.randint(10, 20)`` and the
+    weights as ``rng.uniform()`` would. All classes read them from one
+    ``rng.block`` of 21 draws per class, the most a class can use, and the
+    draws left over are given back, so ``rng`` ends where those scalar calls
+    would leave it.
+    """
+    make = _flow_maker(spec)
+    z = rng.block(21 * len(endpoints))
+    counts = (10 + z % np.uint64(11)).tolist()
+    weights = (((z >> np.uint64(11)).astype(float) + 0.5) * 2.0**-53).tolist()
     classes = []
+    at = 0
     for src, dst, paths in endpoints:
-        k = rng.randint(10, 20)
-        weights = [rng.uniform() for _ in range(k)]
-        classes.append(FlowClass(src, dst, paths, tuple(_make_flow(spec, w) for w in weights)))
+        k = counts[at]
+        classes.append(FlowClass(src, dst, paths, tuple(map(make, weights[at + 1:at + 1 + k]))))
+        at += 1 + k
+    rng.skip(at - len(z))
     return tuple(classes)
 
 
-def _make_flow(spec: dict, w: float) -> UtilityFamily:
+def _flow_maker(spec: dict) -> Callable[[float], UtilityFamily]:
+    """The constructor of a generated flow of weight w under ``spec``."""
     fam = spec.get("family", "log")
     if fam == "log":
-        return WeightedLog(w)
+        return WeightedLog
     if fam == "power":
-        return NegPower(w, float(spec.get("a", 1.0)))
+        a = float(spec.get("a", 1.0))
+        return lambda w: NegPower(w, a)
     raise ValueError(f"unsupported generated family: {fam}")
 
 

@@ -25,9 +25,19 @@ Derived draws:
   first ``k`` entries are the sample.
 * ``mix(a, b)`` is the output function applied once to
   ``(a XOR (b * 0x9E3779B97F4A7C15 mod 2^64)) + 0x9E3779B97F4A7C15``.
+
+This is SplitMix64 (Steele, Lea & Flood, "Fast splittable pseudorandom
+number generators", OOPSLA 2014). Its n-th output after a state s is the
+output function of ``s + n * 0x9E3779B97F4A7C15 mod 2^64``, so ``block(n)``
+computes the next n outputs in one numpy expression in wrapping uint64
+arithmetic. A block equals the same number of ``next_u64()`` calls bit for
+bit and leaves the same state; ``skip`` moves the state by whole draws,
+backwards too, so a caller can return the draws of a block it did not use.
 """
 
 from __future__ import annotations
+
+import numpy as np
 
 _MASK = (1 << 64) - 1
 _GAMMA = 0x9E3779B97F4A7C15
@@ -39,6 +49,13 @@ def _finalize(z: int) -> int:
     z = ((z ^ (z >> 30)) * _MIX1) & _MASK
     z = ((z ^ (z >> 27)) * _MIX2) & _MASK
     return z ^ (z >> 31)
+
+
+def _finalize_array(z: np.ndarray) -> np.ndarray:
+    """``_finalize`` of every entry of a uint64 array (array products wrap silently)."""
+    z = (z ^ (z >> np.uint64(30))) * np.uint64(_MIX1)
+    z = (z ^ (z >> np.uint64(27))) * np.uint64(_MIX2)
+    return z ^ (z >> np.uint64(31))
 
 
 def mix(a: int, b: int) -> int:
@@ -57,6 +74,17 @@ class MixRng:
         self._state = (self._state + _GAMMA) & _MASK
         return _finalize(self._state)
 
+    def block(self, n: int) -> np.ndarray:
+        """The next n outputs as a uint64 array; equal to n ``next_u64()`` calls."""
+        steps = np.arange(1, n + 1, dtype=np.uint64) * np.uint64(_GAMMA)
+        out = _finalize_array(np.uint64(self._state) + steps)
+        self.skip(n)
+        return out
+
+    def skip(self, n: int) -> None:
+        """Move the state past n draws; a negative n takes back the last -n draws."""
+        self._state = (self._state + n * _GAMMA) & _MASK
+
     def uniform(self) -> float:
         """Double uniform on the open interval (0, 1)."""
         return ((self.next_u64() >> 11) + 0.5) * 2.0**-53
@@ -72,7 +100,10 @@ class MixRng:
         if not 0 <= k <= n:
             raise ValueError("sample size out of range")
         arr = list(range(n))
-        for i in range(k):
-            j = self.randint(i, n - 1)
+        state = self._state
+        for i in range(k):  # randint(i, n - 1), inlined
+            state = (state + _GAMMA) & _MASK
+            j = i + _finalize(state) % (n - i)
             arr[i], arr[j] = arr[j], arr[i]
+        self._state = state
         return arr[:k]

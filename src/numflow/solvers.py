@@ -54,7 +54,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from . import utility
-from .errors import DimensionMismatch, DomainError, MaxIterExceeded, NotSupportedUtility, _is_int
+from .errors import DimensionMismatch, DomainError, MaxIterExceeded, NotSupportedUtility, _is_int, _real
 from .netmodel import Instance
 from .pwl import pwl_apportion
 from .utility import FairClasses, PwlUtility, aggregate_kkt_residual
@@ -73,9 +73,10 @@ class SolverParams:
     tol: float = 1e-5        # KKT residual target (CP, gradient projection)
 
     def __post_init__(self):
-        if not all(math.isfinite(v) and v > 0 for v in (self.r, self.alpha)):
+        r, alpha, pct, tol = (_real(getattr(self, name), name) for name in ("r", "alpha", "pct", "tol"))
+        if not all(math.isfinite(v) and v > 0 for v in (r, alpha)):
             raise ValueError("r and alpha must be finite and positive")
-        if not all(math.isfinite(v) and v >= 0 for v in (self.pct, self.tol)):
+        if not all(math.isfinite(v) and v >= 0 for v in (pct, tol)):
             raise ValueError("pct and tol must be finite and nonnegative")
         if not _is_int(self.max_iter) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer >= 1")

@@ -162,6 +162,9 @@ def aggregate_class(members: Sequence[UtilityFamily]) -> ClassUtility:
     return ClassUtility(members, agg)
 
 
+_ONE_FAIR_FAMILY = "each class must be weighted-log or negative-power with one exponent"
+
+
 class FairClasses:
     """Aggregate constants and flow shares of weighted-log and negative-power classes.
 
@@ -181,36 +184,42 @@ class FairClasses:
     """
 
     def __init__(self, flows_by_class):
-        weights, a, k, q = [], [], [], []
+        w, flow_a, sizes = [], [], []
         for flows in flows_by_class:
-            if all(isinstance(f, WeightedLog) for f in flows):
-                a_i = 0.0
-            elif all(isinstance(f, NegPower) and f.a == flows[0].a for f in flows):
-                a_i = flows[0].a
-            else:
-                raise NotSupportedUtility(
-                    "each class must be weighted-log or negative-power with one exponent")
-            w = np.asarray([f.w for f in flows], dtype=float)
-            q_i = w if a_i == 0.0 else (a_i * w) ** (1.0 / (a_i + 1.0))
-            weights.append(w)
-            a.append(a_i)
-            k.append(np.sum(q_i))
-            q.append(q_i)
-        if not weights:
+            sizes.append(len(flows))
+            for f in flows:
+                if isinstance(f, WeightedLog):
+                    flow_a.append(0.0)
+                elif isinstance(f, NegPower):
+                    flow_a.append(f.a)
+                else:
+                    raise NotSupportedUtility(_ONE_FAIR_FAMILY)
+                w.append(f.w)
+        if not sizes:
             raise DomainError("the instance has no flow classes")
-        sizes = [len(w) for w in weights]
-        ends = np.cumsum(sizes).tolist()
-        self.w = np.concatenate(weights)
-        self.a = np.asarray(a)
+        self.w = np.asarray(w, dtype=float)
+        flow_a = np.asarray(flow_a, dtype=float)
+        self.sizes = np.asarray(sizes)
+        ends = np.cumsum(self.sizes)
+        # a class's exponent is its first flow's, and every flow must share it
+        self.a = np.zeros(len(sizes))
+        filled = self.sizes > 0
+        self.a[filled] = flow_a[(ends - self.sizes)[filled]]
+        if not np.array_equal(flow_a, np.repeat(self.a, sizes)):
+            raise NotSupportedUtility(_ONE_FAIR_FAMILY)
         self.log = self.a == 0.0
         self.p = 1.0 / (self.a + 1.0)
-        self.k = np.asarray(k)
-        self.sizes = np.asarray(sizes)
-        self._slices = [slice(e - n, e) for n, e in zip(sizes, ends)]
-        self._share = np.concatenate(q) / np.repeat(self.k, sizes)
-        flow_a = np.repeat(self.a, sizes)
         self._log_flows = flow_a == 0.0
         self._power_a = flow_a[~self._log_flows]
+        q = self.w.copy()
+        for a_i in np.unique(self._power_a).tolist():
+            at = flow_a == a_i
+            q[at] = (a_i * self.w[at]) ** (1.0 / (a_i + 1.0))
+        self._slices = [slice(e - n, e) for n, e in zip(sizes, ends.tolist())]
+        # each class's own pairwise sum, as np.sum of its flows; np.add.reduceat
+        # would add them in another order
+        self.k = np.asarray([q[s].sum() for s in self._slices])
+        self._share = q / np.repeat(self.k, sizes)
 
     def rates(self, v):
         """Class rates x(v) at the path prices ``v``, and their slopes dx_i/dv_i = -p_i x_i / v_i."""

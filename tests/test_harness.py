@@ -819,6 +819,36 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("numflow: ") and "must be a number" in err and err.count("\n") == 1
 
+    @pytest.mark.parametrize("params", [
+        {"r": True, "alpha": True}, {"pct": "1e-4"}, {"tol": False}, {"alpha": "0.1"},
+    ], ids=["bool-r-alpha", "str-pct", "bool-tol", "str-alpha"])
+    def test_solve_non_number_params_usage_error(self, tmp_path, capsys, params):
+        # r = True used to run ADMM with r = 1
+        inst = self._gen(tmp_path)
+        path = tmp_path / "p.json"
+        path.write_text(json.dumps(params))
+        assert cli_main(["solve", str(inst), "--solver", "admm", "--params", str(path)]) == 1
+        name = next(iter(params))
+        assert capsys.readouterr().err == f"numflow: {name} must be a number, got {params[name]!r}\n"
+
+    @pytest.mark.parametrize("key, edit", [
+        ("x", lambda v: [str(e) for e in v]),
+        ("rho", lambda v: [True for _ in v]),
+        ("u", lambda v: [[str(e) for e in ui] for ui in v]),
+        ("x", lambda v: None),
+    ], ids=["str-x", "bool-rho", "str-u", "null-x"])
+    def test_verify_non_number_solution_usage_error(self, tmp_path, capsys, key, edit):
+        # string rates and bool duals used to be read as numbers and fail the check (exit 3)
+        inst = self._gen(tmp_path)
+        sol = tmp_path / "sol.json"
+        assert cli_main(["solve", str(inst), "--solver", "oracle", "--out", str(sol)]) == 0
+        doc = json.loads(sol.read_text())
+        doc[key] = edit(doc[key])
+        sol.write_text(json.dumps(doc))
+        assert cli_main(["verify", str(inst), str(sol)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"numflow: {key} must be a number, got ") and err.count("\n") == 1
+
     def test_verify_with_one_flow_rate_array_too_few_usage_error(self, tmp_path, capsys):
         inst = self._gen(tmp_path)
         sol = tmp_path / "sol.json"

@@ -1,14 +1,16 @@
 """Tests for graphs, routing, topologies, and seeded instance generation."""
 
+import gc
 import hashlib
 import itertools
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
 
-from numflow.errors import InvalidPath, IoError, NoPath, TooManyClasses
+from numflow.errors import InsufficientPaths, InvalidPath, IoError, NoPath, TooManyClasses
 from numflow.multipath import gen_multipath_instance, k_paths
 from numflow.netmodel import (
     FlowClass,
@@ -17,6 +19,7 @@ from numflow.netmodel import (
     Network,
     admissible_pairs,
     dijkstra_path,
+    draw_classes,
     gen_instance,
     instance_from_json,
     instance_to_json,
@@ -28,7 +31,7 @@ from numflow.netmodel import (
     validate_path,
 )
 from numflow.rng import MixRng
-from numflow.utility import WeightedLog
+from numflow.utility import NegPower, WeightedLog
 
 
 def _line_graph():
@@ -197,6 +200,114 @@ class TestDijkstra:
                 assert len(path) == min(len(p) for p in enumerated)
 
 
+def _reference_path(net, src, dst, excluded=frozenset()):
+    """Minimum-hop path by a fresh search per call: a BFS to dst over the
+    reversed links, then a forward walk taking the smallest next node, then
+    the smallest link id."""
+    rev = {v: [] for v in range(1, net.node_count + 1)}
+    for lid, link in enumerate(net.links, start=1):
+        if lid not in excluded:
+            rev[link.head].append(link.tail)
+    dist = {dst: 0}
+    frontier = [dst]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for u in rev[v]:
+                if u not in dist:
+                    dist[u] = dist[v] + 1
+                    nxt.append(u)
+        frontier = nxt
+    if src not in dist:
+        return None
+    path, v = [], src
+    while v != dst:
+        head, lid = min((link.head, lid) for lid, link in enumerate(net.links, start=1)
+                        if link.tail == v and lid not in excluded
+                        and dist.get(link.head, -1) == dist[v] - 1)
+        path.append(lid)
+        v = head
+    return tuple(path)
+
+
+def _reference_k_paths(net, src, dst, count):
+    paths, excluded = [], set()
+    for _ in range(count):
+        path = _reference_path(net, src, dst, frozenset(excluded))
+        if path is None:
+            return None
+        paths.append(path)
+        excluded.update(path)
+    return tuple(paths)
+
+
+class TestHopTables:
+    """dijkstra_path keeps one next-hop table per destination on the network."""
+
+    @pytest.mark.parametrize("make", [small_topology, iridium_topology])
+    def test_every_pair_matches_a_fresh_search(self, make):
+        net = make()
+        for src, dst in itertools.permutations(range(1, net.node_count + 1), 2):
+            assert dijkstra_path(net, src, dst) == _reference_path(net, src, dst)
+        assert sorted(net._hop_tables) == list(range(1, net.node_count + 1))
+
+    @pytest.mark.parametrize("make", [small_topology, iridium_topology])
+    def test_excluded_links_and_k_paths_unchanged_after_tables_are_cached(self, make):
+        net = make()
+        for src, dst in admissible_pairs(net, "all-pairs"):
+            dijkstra_path(net, src, dst)  # fills every table first
+        rng = MixRng(17)
+        for src, dst in admissible_pairs(net, "all-pairs")[::7]:
+            excluded = frozenset(rng.randint(1, len(net.links)) for _ in range(rng.randint(1, 12)))
+            expected = _reference_path(net, src, dst, excluded)
+            if expected is None:
+                with pytest.raises(NoPath):
+                    dijkstra_path(net, src, dst, excluded)
+            else:
+                assert dijkstra_path(net, src, dst, excluded) == expected
+            for count in (2, 3):
+                expected = _reference_k_paths(net, src, dst, count)
+                if expected is None:
+                    with pytest.raises(InsufficientPaths):
+                        k_paths(net, src, dst, count)
+                else:
+                    assert k_paths(net, src, dst, count) == expected
+        # excluded-link searches build their own tables and leave the cached ones as they were
+        for src, dst in admissible_pairs(net, "all-pairs"):
+            assert dijkstra_path(net, src, dst) == _reference_path(net, src, dst)
+
+    def test_unreachable_pair_raises_no_path_every_time(self):
+        net = _line_graph()
+        assert dijkstra_path(net, 2, 3) == (2,)
+        for _ in range(2):
+            with pytest.raises(NoPath):
+                dijkstra_path(net, 3, 1)
+            with pytest.raises(NoPath):
+                dijkstra_path(net, 1, 3, excluded=frozenset({2}))
+        assert dijkstra_path(net, 1, 3) == (1, 2)
+        for src in (0, -1, 4, 2.5):  # no such node
+            with pytest.raises(NoPath):
+                dijkstra_path(net, src, 3)
+
+    def test_two_networks_share_no_table(self):
+        # equal dataclass fields but one more link: each network routes by its own links
+        a = Network(3, (Link(1, 2, 1.0), Link(2, 3, 1.0)))
+        b = Network(3, (Link(1, 2, 1.0), Link(2, 3, 1.0), Link(1, 3, 1.0)))
+        assert dijkstra_path(a, 1, 3) == (1, 2)
+        assert dijkstra_path(b, 1, 3) == (3,)
+        twin = Network(3, (Link(1, 2, 1.0), Link(2, 3, 1.0)))
+        assert twin == a and twin._hop_tables == {} and twin._hop_tables is not a._hop_tables
+
+    def test_tables_die_with_their_network(self):
+        net = iridium_topology()
+        gen_instance(net, 30, 1, endpoint_rule="gateway-constrained")
+        assert net._hop_tables
+        ref = weakref.ref(net)
+        del net
+        gc.collect()
+        assert ref() is None
+
+
 class TestRoutingMatrix:
     def test_single_class_column(self):
         net = Network(
@@ -353,6 +464,56 @@ def test_generators_match_recorded_documents(name):
     inst = make()
     assert [(c.source, c.destination, len(c.flows)) for c in inst.classes] == classes
     assert hashlib.sha256(json.dumps(instance_to_json(inst)).encode()).hexdigest() == digest
+
+
+# sha256 of json.dumps(instance_to_json(...)) of larger instances, recorded
+# before routing read cached hop tables and weights came from block draws
+RECORDED_DIGESTS = {
+    "iridium-750-gateway": (
+        lambda: gen_instance(iridium_topology(), 750, 1, endpoint_rule="gateway-constrained"),
+        "71a7771a9b248d4550573e4926c19899fdbf9335a2b278bfab9f2029a9e6fd5e",
+    ),
+    "small-30-power-a2": (
+        lambda: gen_instance(small_topology(), 30, 7, {"family": "power", "a": 2}),
+        "f810cd47da8a9774bdd362ad0132784cf0bbfe511fbc3ccf26a01d66b7b45b54",
+    ),
+    "small-multipath-10": (
+        lambda: gen_multipath_instance(small_topology(), 10, 1, 2),
+        "6ebec82cdee4d4f06ad7acb281342c76542a0359defba948229e366d7805fd5f",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_DIGESTS))
+def test_generators_match_recorded_digests(name):
+    make, digest = RECORDED_DIGESTS[name]
+    assert hashlib.sha256(json.dumps(instance_to_json(make())).encode()).hexdigest() == digest
+
+
+def _scalar_draw_classes(rng, endpoints, make):
+    """draw_classes by one randint and K uniform calls per class."""
+    classes = []
+    for src, dst, paths in endpoints:
+        k = rng.randint(10, 20)
+        classes.append(FlowClass(src, dst, paths, tuple(make(rng.uniform()) for _ in range(k))))
+    return tuple(classes)
+
+
+@pytest.mark.parametrize("spec, make", [
+    ({"family": "log"}, WeightedLog),
+    ({"family": "power", "a": 1.5}, lambda w: NegPower(w, 1.5)),
+], ids=["log", "power"])
+@pytest.mark.parametrize("n", [0, 1, 40])
+def test_draw_classes_equals_scalar_draws_and_leaves_the_same_state(spec, make, n):
+    net = small_topology()
+    pairs = admissible_pairs(net, "all-pairs")[:n]
+    endpoints = [(s, d, (dijkstra_path(net, s, d),)) for s, d in pairs]
+    for seed in (0, 5, 2**64 - 1):
+        block, scalar = MixRng(seed), MixRng(seed)
+        drawn = draw_classes(block, endpoints, spec)
+        assert drawn == _scalar_draw_classes(scalar, endpoints, make)
+        assert all(type(f.w) is float for cls in drawn for f in cls.flows)
+        assert block.next_u64() == scalar.next_u64()
 
 
 def test_instance_json_round_trip(tmp_path):

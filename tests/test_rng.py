@@ -1,5 +1,8 @@
 """Tests for the documented 64-bit mixing generator."""
 
+import warnings
+
+import numpy as np
 import pytest
 
 from numflow.rng import MixRng, mix
@@ -64,6 +67,42 @@ def test_sample_distinct_subset():
     assert sorted(MixRng(1).sample(5, 5)) == [0, 1, 2, 3, 4]
     with pytest.raises(ValueError):
         rng.sample(3, 4)
+
+
+@pytest.mark.parametrize("seed, n", [(0, 0), (1, 1), (42, 21), (2**64 - 1, 300), (2**63 + 5, 17)])
+def test_block_equals_scalar_draws_and_leaves_the_same_state(seed, n):
+    block, scalar = MixRng(seed), MixRng(seed)
+    out = block.block(n)
+    assert out.dtype == np.uint64 and out.shape == (n,)
+    assert out.tolist() == [scalar.next_u64() for _ in range(n)]
+    assert block.next_u64() == scalar.next_u64()
+
+
+def test_block_draws_raise_no_overflow_warning():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        MixRng(2**64 - 1).block(1000)
+
+
+def test_skip_moves_by_whole_draws_both_ways():
+    ref = MixRng(9)
+    ahead = [ref.next_u64() for _ in range(10)]
+    rng = MixRng(9)
+    rng.skip(7)
+    assert rng.next_u64() == ahead[7]
+    rng.skip(-5)
+    assert rng.next_u64() == ahead[3]
+
+
+def test_sample_matches_its_documented_fisher_yates():
+    for n, k in [(0, 0), (1, 1), (30, 10), (750, 750)]:
+        rng, ref = MixRng(n + k), MixRng(n + k)
+        arr = list(range(n))
+        for i in range(k):
+            j = ref.randint(i, n - 1)
+            arr[i], arr[j] = arr[j], arr[i]
+        assert rng.sample(n, k) == arr[:k]
+        assert rng.next_u64() == ref.next_u64()
 
 
 def test_mix_deterministic_and_sensitive():

@@ -92,6 +92,18 @@ class TestSolverParams:
         with pytest.raises(ValueError):
             SolverParams(**bad)
 
+    @pytest.mark.parametrize("bad", [
+        {"r": True}, {"alpha": True}, {"pct": False}, {"tol": True},
+        {"r": "20"}, {"alpha": "0.1"}, {"pct": "1e-4"}, {"tol": "1e-5"},
+    ])
+    def test_rejects_bools_and_strings_for_real_fields(self, bad):
+        # True used to pass as the number 1
+        name = next(iter(bad))
+        with pytest.raises(TypeError, match=f"{name} must be a number"):
+            SolverParams(**bad)
+        with pytest.raises(TypeError, match=f"{name} must be a number"):
+            SolverParams.from_json(bad)
+
     def test_rejects_a_bool_max_iter(self):
         # True is a numbers.Integral, but no iteration count
         with pytest.raises(ValueError, match="max_iter"):
