@@ -139,6 +139,9 @@ class ExperimentConfig:
         for s in self.solvers:
             if s not in SOLVERS:
                 raise ValueError(f"unknown solver: {s}")
+        for s in self.params:
+            if s not in SOLVERS:
+                raise ValueError(f"'params' names an unknown solver: {s}")
 
     def solver_params(self, solver: str) -> SolverParams:
         return self.params.get(solver, SolverParams())
@@ -147,8 +150,9 @@ class ExperimentConfig:
     def from_json(cls, doc: dict) -> "ExperimentConfig":
         """The config a document describes; absent keys keep the field defaults.
 
-        ``params`` and each entry in it must be JSON objects, ``n_values``
-        and ``solvers`` JSON arrays; otherwise TypeError names the key.
+        A key that names no field raises ValueError. ``params`` and each
+        entry in it must be JSON objects, ``n_values`` and ``solvers`` JSON
+        arrays; otherwise TypeError names the key.
         Numbers are passed on as they are, so the constructor rejects a
         ``seed``, ``repetitions`` or N that is fractional or a bool.
         """
@@ -163,8 +167,10 @@ class ExperimentConfig:
             "params": lambda ps: {name: SolverParams.from_json(typed(f"params.{name}", dict, p))
                                   for name, p in typed("params", dict, ps).items()},
         }
-        return cls(**{k: convert[k](v) if k in convert else v
-                      for k, v in doc.items() if k in cls.__dataclass_fields__})
+        unknown = [k for k in doc if k not in cls.__dataclass_fields__]
+        if unknown:
+            raise ValueError(f"unknown bench config key: {unknown[0]!r}")
+        return cls(**{k: convert[k](v) if k in convert else v for k, v in doc.items()})
 
 
 @dataclass(frozen=True)

@@ -105,18 +105,6 @@ def evaluate(f: UtilityFamily, x: float) -> float:
     raise TypeError(f"unknown family: {f!r}")
 
 
-def derivative(f: UtilityFamily, x: float) -> float:
-    if isinstance(f, WeightedLog):
-        return f.w / x
-    if isinstance(f, NegPower):
-        return f.a * f.w * x ** (-(f.a + 1))
-    if isinstance(f, Quadratic):
-        return -(x - f.z)
-    if isinstance(f, AggregateQuadratic):
-        return -(x - f.z_bar) / f.count
-    raise NotLegendre(f"no smooth derivative for {type(f).__name__}")
-
-
 def conjugate_derivative(f: UtilityFamily) -> Callable[[float], float]:
     """Inverse of the derivative, g' = (f')^-1, defined for v > 0."""
     if isinstance(f, WeightedLog):
@@ -162,14 +150,38 @@ def aggregate_class(members: Sequence[UtilityFamily]) -> ClassUtility:
     return ClassUtility(members, agg)
 
 
+def _flow_table(flows_by_class):
+    """(w, a, sizes, other) of one sequence of flows per class, in one walk.
+
+    w and a are float arrays of every flow's weight and exponent (0 for
+    log) in class order, ``sizes`` the list of class sizes and ``other`` the
+    (position, flow) pairs of any other family, whose w and a are NaN.
+    """
+    w, a, sizes, other = [], [], [], []
+    for flows in flows_by_class:
+        sizes.append(len(flows))
+        for f in flows:
+            if isinstance(f, WeightedLog):
+                w.append(f.w)
+                a.append(0.0)
+            elif isinstance(f, NegPower):
+                w.append(f.w)
+                a.append(f.a)
+            else:
+                other.append((len(w), f))
+                w.append(math.nan)
+                a.append(math.nan)
+    return np.asarray(w, dtype=float), np.asarray(a, dtype=float), sizes, other
+
+
 _ONE_FAIR_FAMILY = "each class must be weighted-log or negative-power with one exponent"
 
 
 class FairClasses:
     """Aggregate constants and flow shares of weighted-log and negative-power classes.
 
-    Built once per solve, in one pass over ``flows_by_class`` (one sequence
-    of flows per class). Class i has exponent a_i, 0 for a log class, and
+    Built once per solve from ``_flow_table(flows_by_class)``, one sequence
+    of flows per class. Class i has exponent a_i, 0 for a log class, and
     at path price v_i its flows' rates sum to x_i(v) = k_i v_i^-p_i with
 
         log:            k_i = sum_k w_k,             p_i = 1,
@@ -184,21 +196,11 @@ class FairClasses:
     """
 
     def __init__(self, flows_by_class):
-        w, flow_a, sizes = [], [], []
-        for flows in flows_by_class:
-            sizes.append(len(flows))
-            for f in flows:
-                if isinstance(f, WeightedLog):
-                    flow_a.append(0.0)
-                elif isinstance(f, NegPower):
-                    flow_a.append(f.a)
-                else:
-                    raise NotSupportedUtility(_ONE_FAIR_FAMILY)
-                w.append(f.w)
+        self.w, flow_a, sizes, other = _flow_table(flows_by_class)
+        if other:
+            raise NotSupportedUtility(_ONE_FAIR_FAMILY)
         if not sizes:
             raise DomainError("the instance has no flow classes")
-        self.w = np.asarray(w, dtype=float)
-        flow_a = np.asarray(flow_a, dtype=float)
         self.sizes = np.asarray(sizes)
         ends = np.cumsum(self.sizes)
         # a class's exponent is its first flow's, and every flow must share it
@@ -299,6 +301,12 @@ def aggregate_kkt_residual(R, c, wbar, x, lam, mu=None) -> float:
     return float(np.maximum.reduce(np.concatenate(parts), initial=0.0))
 
 
+def _max(*values: float) -> float:
+    """Python's max, except that a NaN among ``values`` is the result; max
+    itself keeps a NaN only when it comes first."""
+    return math.nan if any(map(math.isnan, values)) else max(values)
+
+
 @dataclass(frozen=True)
 class KktReport:
     """Maximum scaled violations of the flow-level optimality conditions."""
@@ -314,7 +322,8 @@ class KktReport:
 
     @property
     def max_residual(self) -> float:
-        return max(
+        """The largest violation; NaN when any of them is NaN, which fails the check."""
+        return _max(
             self.primal_feasibility,
             self.flow_nonnegativity,
             self.dual_nonnegativity,
@@ -354,6 +363,9 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
     path price (see ``_pwl_stationarity``); flows of any other family
     raise NotLegendre. Conservation compares the column sums of ``u[i]``
     with ``x[i]``; feasibility and link slackness are scaled by capacity.
+
+    The flows are read by ``_flow_table``, as for ``FairClasses``, but the
+    check takes only their raw w and a, never the class table's constants.
     """
     R = inst.routing.dense()
     c = inst.network.capacities
@@ -369,56 +381,38 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
 
     load = R @ x.reshape(-1)
     feas = float(np.max((load - c) / np.maximum(c, 1.0), initial=0.0))
-    dual = max(float(np.max(-lam, initial=0.0)), float(np.max(-mu, initial=0.0)))
+    dual = _max(float(np.max(-lam, initial=0.0)), float(np.max(-mu, initial=0.0)))
     slack = float(np.max(np.abs(lam * (load - c)) / np.maximum(c, 1.0), initial=0.0))
 
-    per_class = [_per_path(u[i], (len(cls.flows), J), f"class {i} flow rates")
-                 for i, cls in enumerate(inst.classes)]
+    w, a, sizes, other = _flow_table(cls.flows for cls in inst.classes)
+    per_class = [_per_path(u[i], (k, J), f"class {i} flow rates") for i, k in enumerate(sizes)]
     sums = np.array([[r[:, j].sum() for j in range(J)] for r in per_class]).reshape(n, J)
-    sizes = [len(r) for r in per_class]
     rates = np.concatenate(per_class) if n else np.zeros((0, J))
     u_neg = float(np.max(-rates, initial=0.0))
     flow_slack = float(np.max(np.abs(np.repeat(mu, sizes, axis=0) * rates), initial=0.0))
     cons = float(np.max(np.abs(sums - x) / np.maximum(np.abs(x), 1.0), initial=0.0))
-    flows = [fam for cls in inst.classes for fam in cls.flows]
+
+    # each log and power flow's total rate against w/v or (a w/v)^(1/(a+1)) at its
+    # (K, J) path prices v; a non-positive path price cannot be stationary: 1.0
+    totals = rates.sum(axis=1)
     price = np.repeat((R.T @ lam).reshape(n, J) - mu, sizes, axis=0)
-    stat = _stationarity(flows, rates.sum(axis=1), price)
-    return KktReport(feas, u_neg, dual, slack, flow_slack, stat, cons, tol)
-
-
-def _stationarity(flows, totals: np.ndarray, price: np.ndarray) -> float:
-    """Max scaled stationarity violation over every flow and path price.
-
-    ``totals`` holds each flow's total rate and ``price`` its (K, J) path
-    prices. Log and negative-power flows are compared with their conjugate
-    derivatives in array expressions; a non-positive path price cannot be
-    stationary and scores 1.0.
-    """
-    stat = 0.0
-    smooth = np.ones(len(flows), dtype=bool)
-    for k, fam in enumerate(flows):
-        if isinstance(fam, PwlUtility):
-            smooth[k] = False
-            for p in price[k]:
-                # negative rates are scored by flow_nonnegativity
-                stat = max(stat, _pwl_stationarity(fam.fn, max(totals[k], 0.0), p))
-        elif not isinstance(fam, (WeightedLog, NegPower)):
-            conjugate_derivative(fam)  # raises NotLegendre
-    if not smooth.all():
-        flows = [f for f, keep in zip(flows, smooth.tolist()) if keep]
-        totals, price = totals[smooth], price[smooth]
-    w = np.fromiter((f.w for f in flows), float, len(flows))[:, None]
-    a = np.fromiter((f.a if isinstance(f, NegPower) else 0.0 for f in flows), float, len(flows))
     v = np.where(price > 0, price, 1.0)
+    w = w[:, None]
     target = w / v
     power = a > 0
     if power.any():
         ap = a[power, None]
         target[power] = (ap * w[power] / v[power]) ** (1.0 / (ap + 1.0))
     gap = np.abs(totals[:, None] - target)
-    gap /= np.maximum(target, 1e-12, out=target)  # targets are positive
+    gap /= np.maximum(target, 1e-12, out=target)  # positive, or NaN on the rows of `other`
     gap[~(price > 0)] = 1.0
-    return float(np.max(gap, initial=stat))
+    for k, fam in other:
+        if not isinstance(fam, PwlUtility):
+            raise NotLegendre(f"{type(fam).__name__} is not of Legendre type")
+        # negative rates are scored by flow_nonnegativity
+        gap[k] = [_pwl_stationarity(fam.fn, max(totals[k], 0.0), p) for p in price[k]]
+    stat = float(np.max(gap, initial=0.0))
+    return KktReport(feas, u_neg, dual, slack, flow_slack, stat, cons, tol)
 
 
 def _pwl_stationarity(f: PwlConcave, rate: float, price: float) -> float:

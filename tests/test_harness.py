@@ -422,6 +422,14 @@ class TestRunExperiment:
         assert cfg.solver_params("admm").r == 40.0
         assert cfg.solver_params("cp") == SolverParams()
 
+    @pytest.mark.parametrize("doc, key", [
+        ({"n_value": [5], "solver": ["admm"]}, "'n_value'"),
+        ({"params": {"magic": {"r": 1.0}}}, "magic"),
+    ], ids=["top-level", "params"])
+    def test_config_from_json_rejects_unknown_keys(self, doc, key):
+        with pytest.raises(ValueError, match=key):
+            ExperimentConfig.from_json(doc)
+
     def test_config_from_empty_json_is_the_default(self):
         assert ExperimentConfig.from_json({}) == ExperimentConfig()
 
@@ -552,6 +560,18 @@ class TestCli:
         sol.write_text(json.dumps(doc))
         assert cli_main(["verify", str(inst), str(sol), "--tol", "0.1"]) == 3
 
+    def test_verify_nan_rate_fails(self, tmp_path, capsys):
+        inst = self._gen(tmp_path)
+        sol = tmp_path / "sol.json"
+        assert cli_main(["solve", str(inst), "--solver", "oracle", "--out", str(sol)]) == 0
+        doc = json.loads(sol.read_text())
+        doc["u"][0][0] = math.nan
+        sol.write_text(json.dumps(doc))  # NaN, as Python's json writes it
+        capsys.readouterr()
+        assert cli_main(["verify", str(inst), str(sol)]) == 3
+        report = json.loads(capsys.readouterr().out)
+        assert math.isnan(report["max_residual"]) and report["passed"] is False
+
     def test_verify_multipath_solution(self, tmp_path):
         # unused paths carry positive path duals "mu", which verify must read
         inst = gen_multipath_instance(small_topology(), 5, 1, paths_per_class=2)
@@ -668,6 +688,9 @@ class TestCli:
         ({"params": {"admm": "abc"}}, "'params.admm'"),
         ({"solvers": "admm"}, "'solvers'"),
         ({"n_values": 5}, "'n_values'"),
+        # an unknown key used to be dropped, running the whole default sweep
+        ({"n_value": [5]}, "'n_value'"),
+        ({"params": {"oracle": {}}}, "oracle"),
     ])
     def test_bench_config_of_wrong_type_usage_error(self, tmp_path, capsys, doc, key):
         cfg = tmp_path / "cfg.json"

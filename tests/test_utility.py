@@ -29,7 +29,6 @@ from numflow.utility import (
     aggregate_class,
     apportion,
     conjugate_derivative,
-    derivative,
     evaluate,
     family_from_json,
     family_to_json,
@@ -82,6 +81,9 @@ class TestConjugateDerivative:
         assert conjugate_derivative(NegPower(1.0, 1.0))(1.0) == 1.0
 
     def test_inverse_identity(self):
+        def derivative(f, x):
+            return f.w / x if isinstance(f, WeightedLog) else f.a * f.w * x ** -(f.a + 1)
+
         rng = MixRng(5)
         fams = [WeightedLog(2.0), NegPower(0.7, 1.0), NegPower(1.3, 2.0)]
         for f in fams:
@@ -350,9 +352,35 @@ def _kkt_cases():
         ("pwl", (inst, sol.x, sol.u, sol.rho, None)),
         ("pwl/shifted-price", (inst, sol.x, sol.u, sol.rho * 1.01 - 1e-3, None)),
     ]
+    cases.append(("mixed-families", _mixed_family_case(small, rng)))
     empty = gen_instance(small, 0, seed=1)
     cases.append(("no-classes", (empty, np.zeros(0), [], np.zeros(len(empty.network.links)), None)))
     return cases
+
+
+def _mixed_family_case(net, rng):
+    """A log class, a PWL class, a power a=2 class and a class mixing log and
+    power flows, so PWL flows sit between smooth ones. Smooth flows are off
+    their conjugate derivatives by about 1e-3 and a PWL flow's Fenchel-Young
+    gap, 0.21, is the largest score: leaving a PWL flow out, or reading a
+    smooth flow against another flow's weight, changes the report."""
+    base = gen_instance(net, 4, seed=2)
+    flows = (
+        (WeightedLog(0.5), WeightedLog(1.5)),
+        (PwlUtility(PwlConcave((0.0, 0.5, 2.0), (3.0, 0.5, 0.0))),
+         PwlUtility(PwlConcave((0.0, 1.0), (2.0, 0.0)))),
+        (NegPower(1.0, 2.0), NegPower(2.5, 2.0)),
+        (WeightedLog(1.0), NegPower(0.8, 2.0), WeightedLog(0.3)),
+    )
+    classes = tuple(FlowClass(cls.source, cls.destination, cls.paths, fl)
+                    for cls, fl in zip(base.classes, flows))
+    inst = Instance(base.network, classes, base.routing)
+    lam = 0.1 + rng.uniform(size=len(base.network.links))
+    price = inst.routing.dense().T @ lam
+    u = [np.array([0.8, 1.3]) if isinstance(fl[0], PwlUtility) else
+         np.array([conjugate_derivative(f)(p) for f in fl]) * (1.0 + 1e-3 * rng.standard_normal(len(fl)))
+         for fl, p in zip(flows, price)]
+    return inst, np.array([ui.sum() for ui in u]), u, lam, None
 
 
 KKT_CASES = _kkt_cases()
@@ -369,6 +397,51 @@ def test_kkt_check_matches_per_flow_reference(name, args):
                   "complementary_slackness", "flow_slackness", "stationarity", "conservation"):
         assert getattr(rep, field) == pytest.approx(getattr(ref, field), rel=1e-13, abs=1e-15), field
     assert rep.passed == ref.passed
+
+
+class TestKktCheckNan:
+    """A NaN anywhere makes the residual NaN, and NaN never passes."""
+
+    def test_nan_rate_on_a_single_path_instance(self):
+        from numflow.harness import oracle_solve
+
+        inst = gen_instance(small_topology(), 10, 1)
+        sol = oracle_solve(inst)
+        u = [ui.copy() for ui in sol.u]
+        u[0][0] = math.nan
+        rep = kkt_check(inst, sol.x, u, sol.rho, tol=1e-7)
+        for field in ("flow_nonnegativity", "flow_slackness", "stationarity", "conservation"):
+            assert math.isnan(getattr(rep, field)), field
+        assert math.isnan(rep.max_residual)
+        assert not rep.passed
+
+    def test_nan_rate_on_a_pwl_instance(self):
+        inst = _single_link_instance([[PwlUtility(PwlConcave((0.0, 2.0), (3.0, 0.0))),
+                                       PwlUtility(PwlConcave((0.0, 4.0), (1.0, 0.0)))]])
+        rep = kkt_check(inst, [6.0], [[2.0, math.nan]], [0.5])
+        assert math.isnan(rep.stationarity)
+        assert math.isnan(rep.max_residual)
+        assert not rep.passed
+
+    def test_nan_path_dual_on_a_multipath_instance(self):
+        from numflow.multipath import gen_multipath_instance, solve_multipath
+        from numflow.solvers import SolverParams
+
+        inst = gen_multipath_instance(small_topology(), 5, 1, paths_per_class=2)
+        alloc = solve_multipath(inst, SolverParams(alpha=2.0))
+        mu = alloc.mu.copy()
+        mu[0, 0] = math.nan
+        rep = kkt_check(inst, alloc.x, alloc.u, alloc.rho, tol=1e-5, mu=mu)
+        assert math.isnan(rep.dual_nonnegativity)
+        assert math.isnan(rep.max_residual)
+        assert not rep.passed
+
+    def test_max_residual_is_nan_whichever_field_is(self):
+        for k in range(7):
+            values = [1e-9] * 7
+            values[k] = math.nan
+            rep = KktReport(*values, tol=1e-6)
+            assert math.isnan(rep.max_residual) and not rep.passed
 
 
 def test_kkt_check_scores_a_pwl_flow_at_a_negative_price_as_one():
