@@ -55,6 +55,5 @@ from .multipath import (
     solve_multipath,
     solve_multipath_aggregate,
 )
-from .harness import ExperimentConfig, Report, emit_report, oracle_solve, run_experiment
-
-__version__ = "0.1.0"
+from .harness import (VERSION as __version__, ExperimentConfig, Report, emit_report, oracle_solve,
+                      run_experiment)

@@ -142,6 +142,8 @@ def _cmd_bench(args) -> int:
 def _cmd_verify(args) -> int:
     from .utility import kkt_check
 
+    if not (math.isfinite(args.tol) and args.tol >= 0):
+        raise _BadInput(f"--tol must be finite and >= 0, got {args.tol}")
     inst = load_instance(args.instance)
     x, u, rho, mu = read_json(args.solution, _solution_from_json)
     if rho is None:

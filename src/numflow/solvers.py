@@ -63,6 +63,11 @@ if TYPE_CHECKING:
     import scipy.sparse
 
 
+# the Chambolle-Pock steps that params documents carried before ``solve_cp``
+# fixed them; ``SolverParams.from_json`` still reads and ignores them
+_RETIRED_KEYS = ("sigma", "theta", "tau")
+
+
 @dataclass(frozen=True)
 class SolverParams:
     r: float = 20.0          # ADMM penalty
@@ -86,6 +91,14 @@ class SolverParams:
 
     @classmethod
     def from_json(cls, doc: dict) -> "SolverParams":
+        """The params a document describes; absent keys keep the defaults.
+
+        A key that names no field raises ValueError, except the retired
+        Chambolle-Pock steps ``_RETIRED_KEYS``, which are read and ignored.
+        """
+        unknown = [k for k in doc if k not in cls.__dataclass_fields__ and k not in _RETIRED_KEYS]
+        if unknown:
+            raise ValueError(f"unknown solver params key: {unknown[0]!r}")
         return cls(**{k: doc[k] for k in doc if k in cls.__dataclass_fields__})
 
 

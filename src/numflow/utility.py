@@ -24,7 +24,7 @@ domain, never an exception.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -322,16 +322,9 @@ class KktReport:
 
     @property
     def max_residual(self) -> float:
-        """The largest violation; NaN when any of them is NaN, which fails the check."""
-        return _max(
-            self.primal_feasibility,
-            self.flow_nonnegativity,
-            self.dual_nonnegativity,
-            self.complementary_slackness,
-            self.flow_slackness,
-            self.stationarity,
-            self.conservation,
-        )
+        """``_max`` of every field but ``tol``, in field order: the largest
+        violation, or NaN when any of them is NaN, which fails the check."""
+        return _max(*(getattr(self, f.name) for f in fields(self) if f.name != "tol"))
 
     @property
     def passed(self) -> bool:
@@ -346,6 +339,9 @@ def _per_path(a, shape: tuple[int, int], what: str) -> np.ndarray:
     return a.reshape(shape)
 
 
+# where an infinite rate, aggregate or dual meets a zero of R or of mu, the
+# product 0 * inf is NaN, which fails the check; numpy need not warn of it
+@np.errstate(invalid="ignore")
 def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
     """Verify the optimality conditions of a flow-level allocation.
 
@@ -362,10 +358,13 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
     stationarity is the Fenchel-Young gap of the flow subproblem at the
     path price (see ``_pwl_stationarity``); flows of any other family
     raise NotLegendre. Conservation compares the column sums of ``u[i]``
-    with ``x[i]``; feasibility and link slackness are scaled by capacity.
+    with ``x[i]``, all taken in one ``np.add.reduceat`` over the stacked
+    rates; feasibility and link slackness are scaled by capacity.
 
     The flows are read by ``_flow_table``, as for ``FairClasses``, but the
     check takes only their raw w and a, never the class table's constants.
+    A NaN or infinite rate, aggregate or dual fails the check, with no
+    warning: the residual it reaches is NaN or infinite.
     """
     R = inst.routing.dense()
     c = inst.network.capacities
@@ -386,8 +385,9 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
 
     w, a, sizes, other = _flow_table(cls.flows for cls in inst.classes)
     per_class = [_per_path(u[i], (k, J), f"class {i} flow rates") for i, k in enumerate(sizes)]
-    sums = np.array([[r[:, j].sum() for j in range(J)] for r in per_class]).reshape(n, J)
     rates = np.concatenate(per_class) if n else np.zeros((0, J))
+    # each class's column sums, reduced from its first flow's row on
+    sums = np.add.reduceat(rates, np.cumsum([0, *sizes])[:-1], axis=0)
     u_neg = float(np.max(-rates, initial=0.0))
     flow_slack = float(np.max(np.abs(np.repeat(mu, sizes, axis=0) * rates), initial=0.0))
     cons = float(np.max(np.abs(sums - x) / np.maximum(np.abs(x), 1.0), initial=0.0))

@@ -47,6 +47,8 @@ from numflow.utility import (
     kkt_check_single_path,
 )
 
+from helpers import _single_link_instance
+
 # iridium gateway-constrained (N, base seed) whose saturated links are dependent
 DEPENDENT_ACTIVE_LINKS = [(50, 2), (50, 3), (75, 1)]
 
@@ -57,12 +59,6 @@ QUICK_CFG = ExperimentConfig(
     solvers=("admm", "gradproj"),
     repetitions=1,
 )
-
-
-def _single_link_instance(class_flows, cap=10.0):
-    net = Network(node_count=2, links=(Link(1, 2, cap),))
-    classes = tuple(FlowClass(1, 2, ((1,),), tuple(flows)) for flows in class_flows)
-    return Instance(net, classes, routing_matrix(net, classes))
 
 
 def _dual_terms(inst):
@@ -572,6 +568,29 @@ class TestCli:
         report = json.loads(capsys.readouterr().out)
         assert math.isnan(report["max_residual"]) and report["passed"] is False
 
+    def test_verify_infinite_rate_fails_without_a_warning(self, tmp_path, capsys):
+        inst = self._gen(tmp_path)
+        sol = tmp_path / "sol.json"
+        assert cli_main(["solve", str(inst), "--solver", "oracle", "--out", str(sol)]) == 0
+        doc = json.loads(sol.read_text())
+        doc["u"][0][0] = math.inf
+        sol.write_text(json.dumps(doc))  # Infinity, as Python's json writes it
+        capsys.readouterr()
+        assert cli_main(["verify", str(inst), str(sol)]) == 3
+        out, err = capsys.readouterr()
+        assert json.loads(out)["passed"] is False and err == ""
+
+    @pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+    def test_verify_tol_must_be_finite_and_nonnegative(self, tmp_path, capsys, tol):
+        # nan and -1 used to fail every report (exit 3), inf to pass every finite one
+        inst = self._gen(tmp_path)
+        sol = tmp_path / "sol.json"
+        assert cli_main(["solve", str(inst), "--solver", "oracle", "--out", str(sol)]) == 0
+        capsys.readouterr()
+        assert cli_main(["verify", str(inst), str(sol), "--tol", tol]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("numflow: --tol must be finite and >= 0") and err.count("\n") == 1
+
     def test_verify_multipath_solution(self, tmp_path):
         # unused paths carry positive path duals "mu", which verify must read
         inst = gen_multipath_instance(small_topology(), 5, 1, paths_per_class=2)
@@ -669,7 +688,8 @@ class TestCli:
         assert cli_main(["solve", str(path), "--solver", "oracle"]) == 1
         assert capsys.readouterr().err == "numflow: weight must be finite\n"
 
-    @pytest.mark.parametrize("doc", [{"r": -1}, {"r": "40"}])
+    # misspelt keys such as "R" used to be dropped, solving at the default r and pct
+    @pytest.mark.parametrize("doc", [{"r": -1}, {"r": "40"}, {"R": 40, "pcT": 1e-9}])
     def test_bad_params_usage_error(self, tmp_path, capsys, doc):
         inst = self._gen(tmp_path)
         params = tmp_path / "p.json"
@@ -691,6 +711,7 @@ class TestCli:
         # an unknown key used to be dropped, running the whole default sweep
         ({"n_value": [5]}, "'n_value'"),
         ({"params": {"oracle": {}}}, "oracle"),
+        ({"params": {"admm": {"R": 40}}}, "'R'"),
     ])
     def test_bench_config_of_wrong_type_usage_error(self, tmp_path, capsys, doc, key):
         cfg = tmp_path / "cfg.json"

@@ -17,16 +17,9 @@ from numflow.pwl import (
 )
 from numflow.rng import MixRng
 
+from helpers import _random_pwl
+
 ZERO = PwlConcave((0.0,), (0.0,))
-
-
-def _random_pwl(rng: MixRng, max_segments: int = 4) -> PwlConcave:
-    nseg = rng.randint(1, max_segments)
-    breaks = [0.0]
-    for _ in range(nseg):
-        breaks.append(breaks[-1] + 0.1 + 3.0 * rng.uniform())
-    slopes = sorted((5.0 * rng.uniform() for _ in range(nseg)), reverse=True)
-    return PwlConcave(tuple(breaks), tuple(slopes) + (0.0,))
 
 
 def _conjugate_oracle(f: PwlConcave, y: float, hi: float = 50.0, steps: int = 20000) -> float:

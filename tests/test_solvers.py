@@ -55,11 +55,7 @@ from numflow.utility import (
     kkt_check,
 )
 
-
-def _single_link_instance(class_flows, cap=10.0):
-    net = Network(node_count=2, links=(Link(1, 2, cap),))
-    classes = tuple(FlowClass(1, 2, ((1,),), tuple(flows)) for flows in class_flows)
-    return Instance(net, classes, routing_matrix(net, classes))
+from helpers import _random_pwl, _single_link_instance
 
 
 def _log_arrays(inst):
@@ -116,9 +112,14 @@ class TestSolverParams:
     def test_json_round_trip(self):
         p = SolverParams(r=40.0, alpha=0.5, max_iter=500, tol=1e-6)
         assert SolverParams.from_json(p.to_json()) == p
-        # unknown keys, such as the CP steps documents used to carry, are ignored
+        # the CP steps documents used to carry are read and ignored
         old = {**p.to_json(), "sigma": 2.0, "theta": 0.5, "tau": 0.015}
         assert SolverParams.from_json(old) == p
+
+    @pytest.mark.parametrize("doc, key", [({"R": 40.0}, "'R'"), ({"r": 40.0, "pcT": 1e-9}, "'pcT'")])
+    def test_from_json_rejects_an_unknown_key(self, doc, key):
+        with pytest.raises(ValueError, match=f"unknown solver params key: {key}"):
+            SolverParams.from_json(doc)
 
 
 class TestSpdPrefactor:
@@ -1048,15 +1049,6 @@ class TestSimplex:
         with pytest.raises(ValueError):
             simplex_maximize(np.asarray([1.0]), np.asarray([[1.0]]), np.asarray([-1.0]),
                              np.full(1, np.inf))
-
-
-def _random_pwl(rng: MixRng) -> PwlConcave:
-    nseg = rng.randint(1, 4)
-    breaks = [0.0]
-    for _ in range(nseg):
-        breaks.append(breaks[-1] + 0.1 + 3.0 * rng.uniform())
-    slopes = sorted((5.0 * rng.uniform() for _ in range(nseg)), reverse=True)
-    return PwlConcave(tuple(breaks), tuple(slopes) + (0.0,))
 
 
 def _pwl_instance(n: int, seed: int) -> Instance:

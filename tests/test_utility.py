@@ -7,15 +7,7 @@ import pytest
 
 from numflow.errors import (DimensionMismatch, DomainError, MixedExponent, MixedTags, NotLegendre,
                             NotSupportedUtility)
-from numflow.netmodel import (
-    FlowClass,
-    Instance,
-    Link,
-    Network,
-    gen_instance,
-    routing_matrix,
-    small_topology,
-)
+from numflow.netmodel import FlowClass, Instance, gen_instance, small_topology
 from numflow.pwl import PwlConcave
 from numflow.rng import MixRng
 from numflow.utility import (
@@ -37,12 +29,7 @@ from numflow.utility import (
     _pwl_stationarity,
 )
 
-
-def _single_link_instance(class_flows, cap=10.0):
-    """Classes all routed over the one link of a 2-node network."""
-    net = Network(node_count=2, links=(Link(1, 2, cap),))
-    classes = tuple(FlowClass(1, 2, ((1,),), tuple(flows)) for flows in class_flows)
-    return Instance(net, classes, routing_matrix(net, classes))
+from helpers import _single_link_instance
 
 
 class TestConstructors:
@@ -442,6 +429,19 @@ class TestKktCheckNan:
             values[k] = math.nan
             rep = KktReport(*values, tol=1e-6)
             assert math.isnan(rep.max_residual) and not rep.passed
+
+
+@pytest.mark.parametrize("entry", ["rho", "x", "u", "mu"])
+def test_an_infinite_entry_fails_the_kkt_check_without_a_warning(entry):
+    # 0 * inf in R @ x, R.T @ rho or mu * u used to warn, which the
+    # test settings turn into an error
+    from numflow.harness import oracle_solve
+
+    inst = gen_instance(small_topology(), 5, 1)
+    sol = oracle_solve(inst)
+    x, rho, u, mu = sol.x.copy(), sol.rho.copy(), [ui.copy() for ui in sol.u], np.zeros((5, 1))
+    {"rho": rho, "x": x, "u": u[0], "mu": mu[0]}[entry][0] = math.inf
+    assert not kkt_check(inst, x, u, rho, tol=1e-7, mu=mu).passed
 
 
 def test_kkt_check_scores_a_pwl_flow_at_a_negative_price_as_one():
