@@ -140,10 +140,10 @@ def _cmd_bench(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    from .utility import kkt_check
+    from .utility import check_tol, kkt_check
 
-    if not (math.isfinite(args.tol) and args.tol >= 0):
-        raise _BadInput(f"--tol must be finite and >= 0, got {args.tol}")
+    with _reading_input():
+        check_tol(args.tol, "--tol")
     inst = load_instance(args.instance)
     x, u, rho, mu = read_json(args.solution, _solution_from_json)
     if rho is None:

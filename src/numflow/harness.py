@@ -26,8 +26,8 @@ from .errors import NonConvergence, NotSupportedUtility, _is_int
 from .netmodel import (Instance, Network, gen_instance, iridium_topology, load_instance,
                        small_topology, write_text)
 from .rng import mix
-from .solvers import SolverParams, Solution, _solution, solve_admm, solve_cp, solve_gradproj
-from .utility import FairClasses, evaluate, kkt_check_single_path
+from .solvers import SolverParams, Solution, _solution, _start_rate, solve_admm, solve_cp, solve_gradproj
+from .utility import check_tol, evaluate, kkt_check_single_path
 
 VERSION = "0.1.0"
 
@@ -46,7 +46,7 @@ def oracle_solve(inst: Instance, tol: float = 1e-7) -> Solution:
     aggregate utility. It is solved by primal-dual path following (Boyd &
     Vandenberghe, Convex Optimization, section 11.7) in rho > 0 and link
     slacks s > 0, with residual r_p = c - R x - s. The class rates are always
-    read off the prices, x = ``FairClasses.rates(v)``, so stationarity
+    read off the prices, x = ``inst.class_table.rates(v)``, so stationarity
     holds exactly. Each Newton step solves
 
         (R D R^T + diag(s / rho)) d_rho = (sigma mu - rho s) / rho - r_p
@@ -60,14 +60,15 @@ def oracle_solve(inst: Instance, tol: float = 1e-7) -> Solution:
     links, each divided by max(c, 1); the loop stops when err <= 1e-10
     and raises NonConvergence after 100 steps. ``n_iter`` counts the
     Newton steps. The result must then pass the flow-level KKT check at
-    ``tol``.
+    ``tol``, which must be finite and >= 0 (else ValueError, before any step).
     """
     t0 = time.perf_counter()
+    check_tol(tol)
     if inst.paths_per_class != 1:
         raise NotSupportedUtility("oracle handles single-path instances")
     R = inst.routing.dense()
     c = inst.network.capacities
-    classes = FairClasses(cls.flows for cls in inst.classes)
+    classes = inst.class_table.require()
     n_links = len(c)
     scale = np.maximum(c, 1.0)
 
@@ -80,13 +81,9 @@ def oracle_solve(inst: Instance, tol: float = 1e-7) -> Solution:
     col = first[cls[row]] + np.arange(len(row)) - np.repeat(np.cumsum(block) - block, block)
     pair, pair_cls = link[row] * n_links + link[col], cls[row]
 
-    # start with every class at half the tightest link's equal share, and one
-    # price on every link
-    deg = R.sum(axis=1)
-    used = deg > 0
-    x_hat = 0.5 * np.min(c[used] / deg[used])
-    price = np.mean((classes.k / x_hat) ** (1.0 / classes.p))  # mean U_i'(x_hat)
-    rho = np.full(n_links, price / np.mean(np.maximum(deg, 1.0)))
+    # start with every class at ``_start_rate`` x0, and one price on every link
+    price = np.mean((classes.k / _start_rate(R, c)) ** (1.0 / classes.p))  # mean U_i'(x0)
+    rho = np.full(n_links, price / np.mean(np.maximum(R.sum(axis=1), 1.0)))
     s = np.maximum(c - R @ classes.rates(R.T @ rho)[0], c / 2)
     for n_iter in range(101):
         x, slope = classes.rates(R.T @ rho)

@@ -121,9 +121,8 @@ def solve_multipath(inst: Instance, params: SolverParams) -> Solution:
     holds the link duals and ``mu`` the (N, J) path-nonnegativity duals.
     """
     t0 = time.perf_counter()
-    classes = _log_classes(inst, single_path=False)
     x, rho, mu, n_iter, converged = solve_multipath_aggregate(inst, params)
-    u, objective = classes.split(x)
+    u, objective = inst.class_table.split(x)
     return _solution(inst.routing.dense(), x, u, objective, rho, n_iter, converged, t0, mu=mu)
 
 

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable, NamedTuple, Sequence
 
@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import InvalidPath, IoError, NoPath, TooManyClasses, _is_int, _real
 from .rng import MixRng
-from .utility import NegPower, UtilityFamily, WeightedLog, family_from_json, family_to_json
+from .utility import FairClasses, NegPower, UtilityFamily, WeightedLog, family_from_json, family_to_json
 
 SCHEMA_VERSION = 1
 
@@ -147,6 +147,7 @@ class Instance:
     mode: str = "single-path"  # "single-path" | "multipath"
     paths_per_class: int = 1
     seed: int = 0
+    class_table: FairClasses = field(init=False, compare=False, repr=False)  # built by __post_init__
 
     def __post_init__(self):
         if not _is_int(self.paths_per_class) or self.paths_per_class < 1:
@@ -167,6 +168,7 @@ class Instance:
             raise ValueError("routing matrix width inconsistent with classes")
         if self.routing.rows != len(self.network.links):
             raise ValueError("routing matrix height inconsistent with network")
+        object.__setattr__(self, "class_table", FairClasses(cls.flows for cls in self.classes))
 
     @property
     def n_classes(self) -> int:

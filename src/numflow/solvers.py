@@ -32,7 +32,7 @@ cold projection (NNLS) and by the LP path (HiGHS and its sparse matrix),
 so ``import numflow`` and the ADMM, CP and oracle solves load no scipy.
 
 Each apportions the aggregate rates to flows once, after the loop, by the
-share split every alpha-fair solver uses: ``utility.FairClasses``. Every
+share split every alpha-fair solver uses: ``Instance.class_table``. Every
 solver, here and in ``multipath`` and ``harness``, returns through one
 builder, ``_solution``.
 
@@ -192,11 +192,10 @@ def spd_prefactor(R: np.ndarray) -> SpdFactor:
 
 
 def _log_classes(inst: Instance, single_path: bool = True) -> FairClasses:
-    """The class table; NotSupportedUtility unless every flow is weighted-log
-    and, when ``single_path``, every class has one path."""
+    """The class table; NotSupportedUtility unless log-only (and one-path if ``single_path``)."""
     if single_path and inst.paths_per_class != 1:
         raise NotSupportedUtility("single-path instances only")
-    classes = FairClasses(cls.flows for cls in inst.classes)
+    classes = inst.class_table.require()
     if not classes.log.all():
         raise NotSupportedUtility("solver requires weighted-log utilities")
     return classes
@@ -459,12 +458,18 @@ _MAX_STEP = 1e10
 _ROUNDOFF_EPS = 8.0 * np.finfo(float).eps
 
 
+def _start_rate(R: np.ndarray, c: np.ndarray) -> float:
+    """Half the tightest link's equal share, min c_l / (columns on l) over used links."""
+    deg = R.sum(axis=1)
+    used = deg > 0
+    return 0.5 * float(np.min(c[used] / deg[used]))
+
+
 def _gradproj_loop(R: np.ndarray, c: np.ndarray, wbar: np.ndarray, J: int, params: SolverParams):
     """Projected gradient ascent on the N*J per-path aggregates, J per class.
 
     Class i's utility is wbar_i log(sum_j x_ij), so every path of a class
-    gets the gradient of its class total. The start puts every path at half
-    the smallest c_l / (paths on l) over the links l that some path uses.
+    gets the gradient of its class total. Every path starts at ``_start_rate``.
 
     The first trial step is ``params.alpha`` on the first iteration. After
     that it is the Barzilai-Borwein step (s.s)/(-s.y), with s = x - x_prev
@@ -486,9 +491,7 @@ def _gradproj_loop(R: np.ndarray, c: np.ndarray, wbar: np.ndarray, J: int, param
     """
     n = len(wbar)
     L = R.shape[0]
-    deg = R.sum(axis=1)
-    used = deg > 0
-    x = np.full((n, J), 0.5 * float(np.min(c[used] / deg[used])))
+    x = np.full((n, J), _start_rate(R, c))
     x_bar = np.maximum(x.sum(axis=1), 1e-12)
     lam = np.zeros(L)
     mu = np.zeros(n * J)

@@ -150,39 +150,18 @@ def aggregate_class(members: Sequence[UtilityFamily]) -> ClassUtility:
     return ClassUtility(members, agg)
 
 
-def _flow_table(flows_by_class):
-    """(w, a, sizes, other) of one sequence of flows per class, in one walk.
-
-    w and a are float arrays of every flow's weight and exponent (0 for
-    log) in class order, ``sizes`` the list of class sizes and ``other`` the
-    (position, flow) pairs of any other family, whose w and a are NaN.
-    """
-    w, a, sizes, other = [], [], [], []
-    for flows in flows_by_class:
-        sizes.append(len(flows))
-        for f in flows:
-            if isinstance(f, WeightedLog):
-                w.append(f.w)
-                a.append(0.0)
-            elif isinstance(f, NegPower):
-                w.append(f.w)
-                a.append(f.a)
-            else:
-                other.append((len(w), f))
-                w.append(math.nan)
-                a.append(math.nan)
-    return np.asarray(w, dtype=float), np.asarray(a, dtype=float), sizes, other
-
-
-_ONE_FAIR_FAMILY = "each class must be weighted-log or negative-power with one exponent"
+def check_tol(tol: float, name: str = "tol") -> None:
+    """Raise ValueError unless ``tol`` is finite and >= 0."""
+    if not (math.isfinite(tol) and tol >= 0):
+        raise ValueError(f"{name} must be finite and >= 0, got {tol}")
 
 
 class FairClasses:
     """Aggregate constants and flow shares of weighted-log and negative-power classes.
 
-    Built once per solve from ``_flow_table(flows_by_class)``, one sequence
-    of flows per class. Class i has exponent a_i, 0 for a log class, and
-    at path price v_i its flows' rates sum to x_i(v) = k_i v_i^-p_i with
+    Built once per instance, as ``Instance.class_table``, from one sequence
+    of flows per class. Class i has exponent a_i, 0 for a log class, and at
+    path price v_i its flows' rates sum to x_i(v) = k_i v_i^-p_i with
 
         log:            k_i = sum_k w_k,             p_i = 1,
         negative power: k_i = sum_k (a_i w_k)^p_i,   p_i = 1 / (a_i + 1).
@@ -190,38 +169,56 @@ class FairClasses:
     Each flow's rate, the conjugate derivative at v_i, is the fixed share
     q_k / k_i of x_i, with q_k = w_k or (a_i w_k)^p_i (Mo & Walrand 2000),
     so ``split`` apportions any class rates without the prices. For a log
-    class k_i is the class weight wbar_i. A class of any other family, or
-    whose negative-power flows differ in exponent, raises
-    NotSupportedUtility; no classes at all raise DomainError.
+    class k_i is the class weight wbar_i. ``w`` and ``flow_a`` hold each
+    flow's weight and exponent (0 for log, NaN for a flow of any other
+    family, listed in ``other`` as (position, flow)). A class of another
+    family or of mixed exponents gets NaN constants; ``require`` rejects them.
     """
 
     def __init__(self, flows_by_class):
-        self.w, flow_a, sizes, other = _flow_table(flows_by_class)
-        if other:
-            raise NotSupportedUtility(_ONE_FAIR_FAMILY)
-        if not sizes:
-            raise DomainError("the instance has no flow classes")
-        self.sizes = np.asarray(sizes)
-        ends = np.cumsum(self.sizes)
-        # a class's exponent is its first flow's, and every flow must share it
+        w, flow_a, sizes, self.other = [], [], [], []
+        for flows in flows_by_class:
+            sizes.append(len(flows))
+            for f in flows:
+                if isinstance(f, WeightedLog):
+                    w.append(f.w)
+                    flow_a.append(0.0)
+                elif isinstance(f, NegPower):
+                    w.append(f.w)
+                    flow_a.append(f.a)
+                else:
+                    self.other.append((len(w), f))
+                    w.append(math.nan)
+                    flow_a.append(math.nan)
+        self.w = np.asarray(w, dtype=float)
+        self.flow_a = flow_a = np.asarray(flow_a, dtype=float)
+        self.sizes = np.asarray(sizes, dtype=int)
+        self._ends = np.cumsum(self.sizes)
+        # a class's exponent is its flows' largest, NaN unless every flow shares
+        # it (a NaN flow never does); exponents are >= 0, so an empty class has 0
+        owner = np.repeat(np.arange(len(sizes)), self.sizes)
         self.a = np.zeros(len(sizes))
-        filled = self.sizes > 0
-        self.a[filled] = flow_a[(ends - self.sizes)[filled]]
-        if not np.array_equal(flow_a, np.repeat(self.a, sizes)):
-            raise NotSupportedUtility(_ONE_FAIR_FAMILY)
+        np.fmax.at(self.a, owner, flow_a)
+        self.a[owner[flow_a != self.a[owner]]] = math.nan
         self.log = self.a == 0.0
         self.p = 1.0 / (self.a + 1.0)
-        self._log_flows = flow_a == 0.0
-        self._power_a = flow_a[~self._log_flows]
         q = self.w.copy()
-        for a_i in np.unique(self._power_a).tolist():
+        for a_i in np.unique(flow_a[flow_a > 0.0]).tolist():
             at = flow_a == a_i
             q[at] = (a_i * self.w[at]) ** (1.0 / (a_i + 1.0))
-        self._slices = [slice(e - n, e) for n, e in zip(sizes, ends.tolist())]
+        q[np.isnan(self.a[owner])] = math.nan
         # each class's own pairwise sum, as np.sum of its flows; np.add.reduceat
         # would add them in another order
-        self.k = np.asarray([q[s].sum() for s in self._slices])
-        self._share = q / np.repeat(self.k, sizes)
+        self.k = np.asarray([q_i.sum() for q_i in np.split(q, self._ends)[:-1]])
+        self._share = q / self.k[owner]
+
+    def require(self) -> "FairClasses":
+        """The table; NotSupportedUtility if a class has NaN constants, DomainError if none."""
+        if np.isnan(self.a).any():
+            raise NotSupportedUtility("each class must be weighted-log or negative-power with one exponent")
+        if not len(self.sizes):
+            raise DomainError("the instance has no flow classes")
+        return self
 
     def rates(self, v):
         """Class rates x(v) at the path prices ``v``, and their slopes dx_i/dv_i = -p_i x_i / v_i."""
@@ -239,10 +236,10 @@ class FairClasses:
         share = self._share if x.ndim == 1 else self._share[:, None]
         rates = share * np.repeat(x, self.sizes, axis=0)
         total = rates if x.ndim == 1 else rates.sum(axis=1)
-        log = self._log_flows
+        log = self.flow_a == 0.0
         objective = (self.w[log] @ np.log(total[log])
-                     - self.w[~log] @ total[~log] ** -self._power_a)
-        return tuple(rates[s] for s in self._slices), float(objective)
+                     - self.w[~log] @ total[~log] ** -self.flow_a[~log])
+        return tuple(np.split(rates, self._ends)[:-1]), float(objective)
 
 
 def apportion(cu: ClassUtility, x_star: float) -> list[float]:
@@ -260,7 +257,7 @@ def apportion(cu: ClassUtility, x_star: float) -> list[float]:
     if isinstance(first, (WeightedLog, NegPower)):
         if x_star <= 0:
             raise DomainError("aggregate rate must be positive")
-        u, _ = FairClasses([members]).split([x_star])
+        u, _ = FairClasses([members]).require().split([x_star])
         return u[0].tolist()
     if isinstance(first, Quadratic):
         agg = cu.aggregate
@@ -361,11 +358,12 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
     with ``x[i]``, all taken in one ``np.add.reduceat`` over the stacked
     rates; feasibility and link slackness are scaled by capacity.
 
-    The flows are read by ``_flow_table``, as for ``FairClasses``, but the
-    check takes only their raw w and a, never the class table's constants.
-    A NaN or infinite rate, aggregate or dual fails the check, with no
-    warning: the residual it reaches is NaN or infinite.
+    Of ``inst.class_table`` it reads only the raw w, exponents, sizes and
+    other-family flows, never k or the shares. A NaN or infinite rate,
+    aggregate or dual fails the check without a warning (its residual is
+    NaN or inf); a NaN, infinite or negative ``tol`` raises ValueError.
     """
+    check_tol(tol)
     R = inst.routing.dense()
     c = inst.network.capacities
     n = len(inst.classes)
@@ -383,7 +381,8 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
     dual = _max(float(np.max(-lam, initial=0.0)), float(np.max(-mu, initial=0.0)))
     slack = float(np.max(np.abs(lam * (load - c)) / np.maximum(c, 1.0), initial=0.0))
 
-    w, a, sizes, other = _flow_table(cls.flows for cls in inst.classes)
+    table = inst.class_table
+    w, a, sizes = table.w, table.flow_a, table.sizes.tolist()
     per_class = [_per_path(u[i], (k, J), f"class {i} flow rates") for i, k in enumerate(sizes)]
     rates = np.concatenate(per_class) if n else np.zeros((0, J))
     # each class's column sums, reduced from its first flow's row on
@@ -404,9 +403,9 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
         ap = a[power, None]
         target[power] = (ap * w[power] / v[power]) ** (1.0 / (ap + 1.0))
     gap = np.abs(totals[:, None] - target)
-    gap /= np.maximum(target, 1e-12, out=target)  # positive, or NaN on the rows of `other`
+    gap /= np.maximum(target, 1e-12, out=target)  # positive, or NaN on the rows of `table.other`
     gap[~(price > 0)] = 1.0
-    for k, fam in other:
+    for k, fam in table.other:
         if not isinstance(fam, PwlUtility):
             raise NotLegendre(f"{type(fam).__name__} is not of Legendre type")
         # negative rates are scored by flow_nonnegativity

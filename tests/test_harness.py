@@ -343,6 +343,14 @@ class TestOracle:
         with pytest.raises(NonConvergence, match="Newton system is singular"):
             oracle_solve(gen_instance(small_topology(), 5, seed=1))
 
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+    def test_rejects_a_tol_that_is_not_finite_and_nonnegative(self, monkeypatch, tol):
+        # before its first Newton step, and before the single-path check
+        monkeypatch.setattr(harness.np.linalg, "solve", None)
+        inst = gen_multipath_instance(small_topology(), 2, 1, paths_per_class=2)
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            oracle_solve(inst, tol=tol)
+
     def test_agrees_with_admm(self):
         net = small_topology()
         params = SolverParams(pct=1e-10)

@@ -1,6 +1,7 @@
 """Tests for utility families, aggregation, apportionment, and KKT checks."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -210,11 +211,95 @@ class TestFairClasses:
         [WeightedLog(1.0), NegPower(1.0, 1.0)],
     ], ids=["pwl", "quadratic", "mixed-exponent", "mixed-family"])
     def test_rejects_other_classes(self, flows):
+        classes = FairClasses([[WeightedLog(1.0)], flows])
         with pytest.raises(NotSupportedUtility):
-            FairClasses([[WeightedLog(1.0)], flows])
+            classes.require()
+
+
+def _table_bytes(table):
+    """Every array of a class table, as bytes, so that NaN entries compare too."""
+    return [np.asarray(a).tobytes() for a in (table.k, table.a, table.p, table.sizes,
+                                              table._share, table.w, table.flow_a)]
+
+
+def _class_table_instances():
+    """A log, a power, a PWL, a mixed and an empty instance."""
+    small = small_topology()
+    base = gen_instance(small, 4, seed=2)
+    mixed = (
+        (WeightedLog(0.5), WeightedLog(1.5)),
+        (PwlUtility(PwlConcave((0.0, 1.0), (2.0, 0.0))),),
+        (NegPower(1.0, 2.0), NegPower(2.5, 3.0)),
+        (WeightedLog(1.0), NegPower(0.8, 2.0), Quadratic(0.3)),
+    )
+    pwl = [(PwlUtility(PwlConcave((0.0, 2.0 + i), (1.0 + i, 0.0))),) for i in range(4)]
+    return {
+        "log": lambda: gen_instance(small, 10, seed=3),
+        "power": lambda: gen_instance(small, 10, seed=3, utility_spec={"family": "power", "a": 2.0}),
+        "pwl": lambda: Instance(base.network, tuple(FlowClass(c.source, c.destination, c.paths, f)
+                                                    for c, f in zip(base.classes, pwl)), base.routing),
+        "mixed": lambda: Instance(base.network, tuple(FlowClass(c.source, c.destination, c.paths, f)
+                                                      for c, f in zip(base.classes, mixed)), base.routing),
+        "empty": lambda: gen_instance(small, 0, seed=1),
+    }
+
+
+class TestClassTable:
+    @pytest.mark.parametrize("name", sorted(_class_table_instances()))
+    def test_is_a_fresh_table_of_the_flows(self, name):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            inst = _class_table_instances()[name]()
+            fresh = FairClasses(cls.flows for cls in inst.classes)
+        assert _table_bytes(inst.class_table) == _table_bytes(fresh)
+        assert inst.class_table.other == fresh.other
+
+    def test_other_families_and_mixed_exponents_make_nan_classes(self):
+        table = _class_table_instances()["mixed"]().class_table
+        assert np.isnan(table.a).tolist() == [False, True, True, True]
+        assert np.isnan(table.k).tolist() == [False, True, True, True]
+        assert [k for k, _ in table.other] == [2, 7]
+        with pytest.raises(NotSupportedUtility):
+            table.require()
+
+    def test_the_table_takes_no_part_in_equality_or_repr(self):
+        make = _class_table_instances()["log"]
+        a, b = make(), make()
+        assert a.class_table is not b.class_table
+        assert a == b and hash(a) == hash(b)
+        assert "class_table" not in repr(a)
+
+    def test_no_solve_or_certificate_builds_a_table(self, monkeypatch):
+        from numflow.harness import oracle_solve
+        from numflow.multipath import gen_multipath_instance, kkt_check_multipath, solve_multipath
+        from numflow.solvers import SolverParams, solve_admm, solve_cp, solve_gradproj
+
+        inst = gen_instance(small_topology(), 10, seed=1)
+        power = gen_instance(small_topology(), 10, seed=1, utility_spec={"family": "power", "a": 2.0})
+        multi = gen_multipath_instance(small_topology(), 5, 1, paths_per_class=2)
+
+        def refuse(self, flows_by_class):
+            raise AssertionError("a class table was built")
+
+        monkeypatch.setattr(FairClasses, "__init__", refuse)
+        for solve in (solve_admm, solve_cp, solve_gradproj):
+            sol = solve(inst, SolverParams())
+            assert sol.converged
+            assert math.isfinite(kkt_check(inst, sol.x, sol.u, sol.rho).max_residual)
+        for case in (inst, power):
+            sol = oracle_solve(case)
+            assert kkt_check(case, sol.x, sol.u, sol.rho, tol=1e-7).passed
+        alloc = solve_multipath(multi, SolverParams(alpha=2.0))
+        assert kkt_check_multipath(multi, alloc, tol=1e-5).passed
 
 
 class TestKktCheck:
+    @pytest.mark.parametrize("tol", [math.inf, math.nan, -1.0])
+    def test_rejects_a_tol_that_is_not_finite_and_nonnegative(self, tol):
+        inst = _single_link_instance([[WeightedLog(1.0)]])
+        with pytest.raises(ValueError, match="tol must be finite and >= 0"):
+            kkt_check(inst, [10.0], [[10.0]], [0.1], tol=tol)
+
     def test_saturated_single_link(self):
         inst = _single_link_instance([[WeightedLog(0.4), WeightedLog(0.6)]])
         cu = aggregate_class(inst.classes[0].flows)
