@@ -179,7 +179,7 @@ def dijkstra_path(net: Network, src: int, dst: int, excluded: frozenset[int] = f
     """Minimum-hop directed path from src to dst as a link-id sequence.
 
     Ties are broken by smallest next node id, then smallest link id; links in
-    ``excluded`` are ignored. Raises :class:`NoPath` if dst is unreachable.
+    ``excluded`` are ignored. Raises :class:`NoPath` for a missing node or path.
 
     The path is walked along dst's next-link table (``_next_links``). Without
     excluded links that table is built once per network and destination and
@@ -188,13 +188,16 @@ def dijkstra_path(net: Network, src: int, dst: int, excluded: frozenset[int] = f
     """
     if src == dst:
         raise ValueError("source equals destination")
+    nodes = range(1, net.node_count + 1)
+    if src not in nodes or dst not in nodes:
+        raise NoPath(f"no path from {src} to {dst}: the nodes are 1..{net.node_count}")
     if excluded:
         next_link = _next_links(net, dst, excluded)
     else:
         next_link = net._hop_tables.get(dst)
         if next_link is None:
             next_link = net._hop_tables[dst] = _next_links(net, dst, excluded)
-    if src not in range(1, net.node_count + 1) or not next_link[src]:
+    if not next_link[src]:
         raise NoPath(f"no path from {src} to {dst}")
     path = []
     v = src

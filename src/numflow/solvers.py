@@ -37,11 +37,11 @@ solver, here and in ``multipath`` and ``harness``, returns through one
 builder, ``_solution``.
 
 All three require weighted-log utilities (the closed-form case). A fourth
-path, ``solve_pwl_aggregate``, handles piecewise-linear utilities via
-supremal convolution and one bounded LP over the convolutions' segments,
-solved by HiGHS (``scipy.optimize.linprog``): each segment's length bounds
-its variable, and the link capacities are the only rows of the sparse
-constraint matrix.
+path, ``solve_pwl_aggregate``, handles piecewise-linear utilities with one
+bounded LP over every flow's positive-slope segments, each on its class's
+routing column, so that the LP's value is the supremal convolutions'. HiGHS
+(``scipy.optimize.linprog``) solves it; segment lengths bound the variables,
+and the link capacities are the only rows of the sparse constraint matrix.
 """
 
 from __future__ import annotations
@@ -53,7 +53,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import utility
 from .errors import DimensionMismatch, DomainError, MaxIterExceeded, NotSupportedUtility, _is_int, _real
 from .netmodel import Instance
 from .pwl import pwl_apportion
@@ -604,7 +603,7 @@ def solve_cp(inst: Instance, params: SolverParams) -> Solution:
 
 
 # ---------------------------------------------------------------------------
-# Piecewise-linear path: supremal convolution + LP (HiGHS)
+# Piecewise-linear path: LP over the flows' segments (HiGHS)
 
 
 def simplex_maximize(obj: np.ndarray, A: np.ndarray | scipy.sparse.sparray, b: np.ndarray,
@@ -635,37 +634,32 @@ def solve_pwl_aggregate(inst: Instance, params: SolverParams | None = None) -> S
     """Aggregate LP for piecewise-linear utilities, then greedy apportionment.
 
     By the aggregation theorem a class's utility is the supremal
-    convolution of its flows'. The LP has one variable per positive-slope
-    segment of each class's convolution, with that segment's slope as its
-    objective coefficient and its length as its upper bound; the link
-    capacities bound the link loads, the LP's only rows. The objective is
-    the LP's value plus every flow's offset (each aggregate's offset sums
-    its class's), and the link duals are the LP's row duals.
+    convolution of its flows', their segments in decreasing slope. The LP
+    has one variable per positive-slope segment of each flow, weighted by
+    the segment's slope and bounded by its length, on its class's routing
+    column, so the LP's value is the convolutions'. The link capacities are
+    the LP's only rows. The objective is the LP's value plus every flow's
+    offset, and the link duals are the LP's row duals.
     """
     t0 = time.perf_counter()
     if inst.paths_per_class != 1:
         raise NotSupportedUtility("single-path instances only")
-    offset = 0.0
-    segments = []  # (class, slope, length) of every positive-slope segment
-    for i, cls in enumerate(inst.classes):
-        if not all(isinstance(f, PwlUtility) for f in cls.flows):
-            raise NotSupportedUtility("solve_pwl_aggregate requires piecewise-linear utilities")
-        # called through the module so that a patch of utility.aggregate_class
-        # (the benchmark's tracer) sees the call
-        agg = utility.aggregate_class(cls.flows).aggregate.fn
-        offset += agg.offset
-        bp, sl = agg.breakpoints, agg.slopes
-        segments += [(i, sl[b], bp[b + 1] - bp[b]) for b in range(len(bp) - 1) if sl[b] > 0]
+    members = [[f.fn for f in cls.flows if isinstance(f, PwlUtility)] for cls in inst.classes]
+    if any(len(fns) < len(cls.flows) for fns, cls in zip(members, inst.classes)):
+        raise NotSupportedUtility("solve_pwl_aggregate requires piecewise-linear utilities")
+    # (class, slope, length) of every segment but the flat tails, so every slope is positive
+    segments = [(i, s, hi - lo) for i, fns in enumerate(members) for fn in fns
+                for s, lo, hi in zip(fn.slopes, fn.breakpoints, fn.breakpoints[1:])]
+    offset = sum(fn.offset for fns in members for fn in fns)
 
-    from scipy.sparse import csr_array
+    from scipy.sparse import csc_array
 
     R = inst.routing.dense()
     seg = np.asarray(segments, dtype=float).reshape(-1, 3)
     seg_cls = seg[:, 0].astype(int)
     t, value, duals, n_iter = simplex_maximize(
-        seg[:, 1], csr_array(R[:, seg_cls]), inst.network.capacities, seg[:, 2])
+        seg[:, 1], csc_array(R)[:, seg_cls], inst.network.capacities, seg[:, 2])
 
     x = np.bincount(seg_cls, weights=t, minlength=inst.n_classes)
-    u = tuple(np.asarray(pwl_apportion([f.fn for f in cls.flows], x_i))
-              for cls, x_i in zip(inst.classes, x))
+    u = tuple(np.asarray(pwl_apportion(fns, x_i)) for fns, x_i in zip(members, x))
     return _solution(R, x, u, value + offset, duals, n_iter, True, t0)

@@ -288,6 +288,14 @@ class TestHopTables:
         for src in (0, -1, 4, 2.5):  # no such node
             with pytest.raises(NoPath):
                 dijkstra_path(net, src, 3)
+        for dst in (0, 4, 99):  # no such node, with and without excluded links
+            with pytest.raises(NoPath):
+                dijkstra_path(net, 1, dst)
+            with pytest.raises(NoPath):
+                dijkstra_path(net, 1, dst, excluded=frozenset({2}))
+            with pytest.raises(InsufficientPaths):
+                k_paths(net, 1, dst, 2)
+        assert sorted(net._hop_tables) == [1, 3]  # no table for a node that does not exist
 
     def test_two_networks_share_no_table(self):
         # equal dataclass fields but one more link: each network routes by its own links

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 import scipy.linalg
 
-from numflow import solvers
+from numflow import solvers, utility
 from numflow.errors import DimensionMismatch, DomainError, MaxIterExceeded, NotSupportedUtility
 from numflow.harness import oracle_solve
 from numflow.netmodel import (
@@ -28,7 +28,7 @@ from numflow.multipath import (
     solve_multipath,
     solve_multipath_aggregate,
 )
-from numflow.pwl import PwlConcave, pwl_eval
+from numflow.pwl import MERGE_TOL, PwlConcave, pwl_eval
 from numflow.rng import MixRng, mix
 from numflow.solvers import (
     SolverParams,
@@ -51,6 +51,7 @@ from numflow.utility import (
     PwlUtility,
     Quadratic,
     WeightedLog,
+    aggregate_class,
     aggregate_kkt_residual,
     kkt_check,
 )
@@ -1062,6 +1063,47 @@ def _pwl_instance(n: int, seed: int) -> Instance:
     return Instance(base.network, classes, base.routing)
 
 
+def _convolution_lp_value(inst: Instance) -> float:
+    """Value of the aggregate LP over each class's supremal convolution: one
+    variable per positive-slope segment of the convolution, on the class's column."""
+    cols, slopes, lengths, offset = [], [], [], 0.0
+    for i, cls in enumerate(inst.classes):
+        agg = aggregate_class(cls.flows).aggregate.fn
+        offset += agg.offset
+        c, m = agg.breakpoints, agg.slopes
+        for b in range(len(c) - 1):
+            cols.append(i)
+            slopes.append(m[b])
+            lengths.append(c[b + 1] - c[b])
+    _, value, _, _ = simplex_maximize(np.asarray(slopes), inst.routing.dense()[:, cols],
+                                      inst.network.capacities, np.asarray(lengths))
+    return value + offset
+
+
+# instances on which the LP over the flows' own segments must reach the
+# convolutions' value: random classes, and classes whose convolution merges
+# or ties segments
+_PWL_CASES = {
+    "random-8": lambda: _pwl_instance(8, 3),
+    "random-20": lambda: _pwl_instance(20, 5),
+    "random-30": lambda: _pwl_instance(30, 11),
+    "two-identical-members": lambda: _single_link_instance([
+        [PwlUtility(PwlConcave((0.0, 2.0, 5.0), (3.0, 1.0, 0.0)))] * 2,
+        [PwlUtility(PwlConcave((0.0, 4.0), (2.0, 0.0), offset=0.5))],
+    ], cap=7.0),
+    "equal-slopes-across-members": lambda: _single_link_instance([
+        [PwlUtility(PwlConcave((0.0, 2.0), (3.0, 0.0))),
+         PwlUtility(PwlConcave((0.0, 1.0, 3.0), (3.0, 1.0, 0.0)))],
+        [PwlUtility(PwlConcave((0.0, 1.5), (1.0, 0.0)))],
+    ], cap=4.5),
+    "segment-shorter-than-merge-tol": lambda: _single_link_instance([
+        [PwlUtility(PwlConcave((0.0, 1.0, 1.0 + MERGE_TOL / 2, 3.0), (4.0, 2.0, 1.5, 0.0))),
+         PwlUtility(PwlConcave((0.0, 2.0), (1.75, 0.0)))],
+        [PwlUtility(PwlConcave((0.0, 1.0), (1.8, 0.0)))],
+    ], cap=3.5),
+}
+
+
 class TestSolvePwlAggregate:
     def _instance(self, members, cap):
         net = Network(node_count=2, links=(Link(1, 2, cap),))
@@ -1122,6 +1164,28 @@ class TestSolvePwlAggregate:
         report = kkt_check(inst, sol.x, sol.u, np.zeros_like(sol.rho), tol=1e-9)
         assert report.stationarity > 1e-3
         assert not report.passed
+
+    @pytest.mark.parametrize("name", list(_PWL_CASES))
+    def test_matches_the_lp_over_the_supremal_convolutions(self, name):
+        inst = _PWL_CASES[name]()
+        sol = solve_pwl_aggregate(inst)
+        assert sol.objective == pytest.approx(_convolution_lp_value(inst), rel=1e-9, abs=0.0)
+        report = kkt_check(inst, sol.x, sol.u, sol.rho, tol=1e-9)
+        assert report.passed, report
+        for ui, x_i in zip(sol.u, sol.x):
+            assert ui.sum() == pytest.approx(x_i, rel=0.0, abs=1e-12)
+
+    def test_builds_no_supremal_convolution(self, monkeypatch):
+        inst = _pwl_instance(20, 5)
+        expected = solve_pwl_aggregate(inst)
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("the solve built a supremal convolution")
+
+        monkeypatch.setattr(utility, "aggregate_class", refuse)
+        monkeypatch.setattr(utility, "pwl_supconv", refuse)
+        sol = solve_pwl_aggregate(inst)
+        assert np.array_equal(sol.x, expected.x) and sol.objective == expected.objective
 
 
 def _small_n15():
