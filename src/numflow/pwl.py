@@ -18,6 +18,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from .errors import DomainError, _real
 
 #: values closer than this are merged to avoid zero-length segments
@@ -82,32 +84,37 @@ def pwl_conjugate(f: PwlConcave) -> PwlConcave:
     )
 
 
-def _segments(fs) -> list[tuple[float, int, float]]:
-    """Every positive-slope segment of fs as (-slope, member index, length),
-    in fill order: decreasing slope, ties by member index."""
-    return sorted((-s, mi, hi - lo) for mi, f in enumerate(fs)
-                  for s, lo, hi in zip(f.slopes, f.breakpoints, f.breakpoints[1:]))
+def fill_order(fns) -> tuple[np.ndarray, ...]:
+    """The positive-slope segments of (group, member, PwlConcave) triples in fill order
+    (group, decreasing slope, member): group, member, slope, left breakpoint, length,
+    and start, the lengths of the group's segments before it, added left to right."""
+    seg = np.asarray([(g, k, m, lo, hi - lo) for g, k, f in fns for m, lo, hi
+                      in zip(f.slopes, f.breakpoints, f.breakpoints[1:])], dtype=float).reshape(-1, 5)
+    group, member, slope, lo, length = seg[np.lexsort((seg[:, 1], -seg[:, 2], seg[:, 0]))].T.copy()
+    start, end = [], {}
+    for g, span in zip(group.tolist(), length.tolist()):
+        start.append(end.get(g, 0.0))
+        end[g] = start[-1] + span
+    return group.astype(int), member.astype(int), slope, lo, length, np.asarray(start)
 
 
 def pwl_supconv(fs: list[PwlConcave] | tuple[PwlConcave, ...]) -> PwlConcave:
     """Supremal convolution sup { sum f_i(x_i) : sum x_i = x }.
 
-    The members' segments are laid end to end in fill order (decreasing
-    slope, ties by member index): breakpoints are running sums of segment
-    lengths and the offset is the sum of the offsets. A segment whose slope
-    is within MERGE_TOL of the previous one joins it, and the run keeps the
-    lower slope. A segment that moves the running breakpoint by at most
-    MERGE_TOL joins the previous run at that run's slope. Slopes of at most
-    MERGE_TOL join the flat tail.
+    The members' segments are laid end to end in ``fill_order``, so the
+    breakpoints are their ends and the offset is the sum of the offsets. A
+    segment whose slope is within MERGE_TOL of the previous one joins it,
+    and the run keeps the lower slope. A segment that moves the running
+    breakpoint by at most MERGE_TOL joins the previous run at that run's
+    slope. Slopes of at most MERGE_TOL join the flat tail.
     """
     if not fs:
         raise ValueError("pwl_supconv of empty sequence")
     c, m = [0.0], []
-    for neg_slope, _, length in _segments(fs):
-        s = -neg_slope
+    _, _, slopes, _, lengths, starts = fill_order((0, k, f) for k, f in enumerate(fs))
+    for s, end in zip(slopes.tolist(), (starts + lengths).tolist()):  # c[-1] is the segment's start
         if s <= MERGE_TOL:
             break
-        end = c[-1] + length
         if m and end - c[-1] <= MERGE_TOL:
             c[-1] = end
         elif m and m[-1] - s <= MERGE_TOL:
@@ -118,27 +125,26 @@ def pwl_supconv(fs: list[PwlConcave] | tuple[PwlConcave, ...]) -> PwlConcave:
     return PwlConcave(tuple(c), tuple(m) + (0.0,), sum(f.offset for f in fs))
 
 
+def pwl_fill(x, group, start, length) -> np.ndarray:
+    """Greedy fill of segments in ``fill_order``: segment s of group g = group[s]
+    takes clip(x[g] - start[s], 0, length[s])."""
+    return np.clip(np.asarray(x, dtype=float)[group] - start, 0.0, length)
+
+
 def pwl_apportion(members: list[PwlConcave], x_star: float) -> list[float]:
     """Split x_star across members by the fill that builds ``pwl_supconv``.
 
-    Segments are consumed in fill order (decreasing slope, ties by member
-    index, then segment, as one member's slopes are distinct). Zero-slope
+    One ``pwl_fill`` of the members' segments in ``fill_order``. Zero-slope
     tails are never filled, so the result sums to min(x_star, total
     capacity of all members) and attains the supremal-convolution value at
-    x_star; x_star = inf fills every segment. A negative or NaN x_star
-    raises DomainError.
+    x_star; x_star = inf fills every segment, and no members give [].
+    A negative or NaN x_star raises DomainError.
     """
     if not x_star >= 0:  # NaN fails too
         raise DomainError(f"x_star must be nonnegative, got {x_star}")
-    out = [0.0] * len(members)
-    remaining = x_star
-    for _, mi, length in _segments(members):
-        if remaining <= 0:
-            break
-        take = min(length, remaining)
-        out[mi] += take
-        remaining -= take
-    return out
+    group, member, _, _, length, start = fill_order((0, k, f) for k, f in enumerate(members))
+    fill = pwl_fill([x_star], group, start, length)
+    return np.bincount(member, fill, len(members)).astype(float).tolist()
 
 
 def pwl_to_json(f: PwlConcave) -> dict:

@@ -38,10 +38,10 @@ builder, ``_solution``.
 
 All three require weighted-log utilities (the closed-form case). A fourth
 path, ``solve_pwl_aggregate``, handles piecewise-linear utilities with one
-bounded LP over every flow's positive-slope segments, each on its class's
-routing column, so that the LP's value is the supremal convolutions'. HiGHS
-(``scipy.optimize.linprog``) solves it; segment lengths bound the variables,
-and the link capacities are the only rows of the sparse constraint matrix.
+bounded LP over the class table's segments, each on its class's routing
+column, so that the LP's value is the supremal convolutions', and apportions
+by the table's greedy fill. HiGHS (``scipy.optimize.linprog``) solves the LP;
+segment lengths bound the variables, and the link capacities are its rows.
 """
 
 from __future__ import annotations
@@ -55,8 +55,9 @@ import numpy as np
 
 from .errors import DimensionMismatch, DomainError, MaxIterExceeded, NotSupportedUtility, _is_int, _real
 from .netmodel import Instance
-from .pwl import pwl_apportion
-from .utility import FairClasses, PwlUtility, aggregate_kkt_residual
+from .pwl import pwl_fill
+from .pwl import pwl_apportion  # noqa: F401  (patched by the benchmark tracer)
+from .utility import FairClasses, aggregate_kkt_residual
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -635,31 +636,26 @@ def solve_pwl_aggregate(inst: Instance, params: SolverParams | None = None) -> S
 
     By the aggregation theorem a class's utility is the supremal
     convolution of its flows', their segments in decreasing slope. The LP
-    has one variable per positive-slope segment of each flow, weighted by
-    the segment's slope and bounded by its length, on its class's routing
-    column, so the LP's value is the convolutions'. The link capacities are
-    the LP's only rows. The objective is the LP's value plus every flow's
-    offset, and the link duals are the LP's row duals.
+    has one variable per positive-slope segment of each flow (the class
+    table's ``seg_*``), weighted by its slope and bounded by its length, on
+    its class's routing column, so the LP's value is the convolutions'. The
+    link capacities are its only rows. The objective is its value plus every
+    flow's offset, the link duals are its row duals, and one ``pwl_fill`` of
+    the table's segments apportions every class's rate.
     """
     t0 = time.perf_counter()
     if inst.paths_per_class != 1:
         raise NotSupportedUtility("single-path instances only")
-    members = [[f.fn for f in cls.flows if isinstance(f, PwlUtility)] for cls in inst.classes]
-    if any(len(fns) < len(cls.flows) for fns, cls in zip(members, inst.classes)):
+    table = inst.class_table
+    if np.isnan(table.offset).any():
         raise NotSupportedUtility("solve_pwl_aggregate requires piecewise-linear utilities")
-    # (class, slope, length) of every segment but the flat tails, so every slope is positive
-    segments = [(i, s, hi - lo) for i, fns in enumerate(members) for fn in fns
-                for s, lo, hi in zip(fn.slopes, fn.breakpoints, fn.breakpoints[1:])]
-    offset = sum(fn.offset for fns in members for fn in fns)
 
     from scipy.sparse import csc_array
 
     R = inst.routing.dense()
-    seg = np.asarray(segments, dtype=float).reshape(-1, 3)
-    seg_cls = seg[:, 0].astype(int)
     t, value, duals, n_iter = simplex_maximize(
-        seg[:, 1], csc_array(R)[:, seg_cls], inst.network.capacities, seg[:, 2])
-
-    x = np.bincount(seg_cls, weights=t, minlength=inst.n_classes)
-    u = tuple(np.asarray(pwl_apportion(fns, x_i)) for fns, x_i in zip(members, x))
-    return _solution(R, x, u, value + offset, duals, n_iter, True, t0)
+        table.seg_slope, csc_array(R)[:, table.seg_class], inst.network.capacities, table.seg_length)
+    x = np.bincount(table.seg_class, t, inst.n_classes).astype(float)  # ints if no segments
+    fill = pwl_fill(x, table.seg_class, table.seg_start, table.seg_length)
+    u = np.split(np.bincount(table.seg_flow, fill, len(table.offset)).astype(float), np.cumsum(table.sizes))
+    return _solution(R, x, tuple(u[:-1]), value + float(table.offset.sum()), duals, n_iter, True, t0)

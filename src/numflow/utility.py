@@ -39,6 +39,7 @@ from .errors import (
     _real,
 )
 from .pwl import NEG_INF, PwlConcave, pwl_apportion, pwl_eval, pwl_from_json, pwl_supconv, pwl_to_json
+from .pwl import fill_order, pwl_fill
 
 
 def _check_weight(w) -> None:
@@ -169,15 +170,16 @@ class FairClasses:
     Each flow's rate, the conjugate derivative at v_i, is the fixed share
     q_k / k_i of x_i, with q_k = w_k or (a_i w_k)^p_i (Mo & Walrand 2000),
     so ``split`` apportions any class rates without the prices. For a log
-    class k_i is the class weight wbar_i. ``w`` and ``flow_a`` hold each
-    flow's weight and exponent (0 for log, NaN for a flow of any other
-    family, listed in ``other`` as (position, flow)). A class of another
-    family or of mixed exponents gets NaN constants; ``require`` rejects them.
+    class k_i is the class weight wbar_i. ``w``, ``flow_a`` and ``offset``
+    hold each flow's weight, exponent (0 for log) and PWL offset f(0), NaN
+    for a flow of another family. A class of another family or of mixed
+    exponents gets NaN constants; ``require`` rejects them. The ``seg_*``
+    arrays are ``pwl.fill_order`` of the PWL flows by class and position.
     """
 
     def __init__(self, flows_by_class):
-        w, flow_a, sizes, self.other = [], [], [], []
-        for flows in flows_by_class:
+        w, flow_a, sizes, pwl = [], [], [], []
+        for i, flows in enumerate(flows_by_class):
             sizes.append(len(flows))
             for f in flows:
                 if isinstance(f, WeightedLog):
@@ -187,7 +189,8 @@ class FairClasses:
                     w.append(f.w)
                     flow_a.append(f.a)
                 else:
-                    self.other.append((len(w), f))
+                    if isinstance(f, PwlUtility):
+                        pwl.append((i, len(w), f.fn))
                     w.append(math.nan)
                     flow_a.append(math.nan)
         self.w = np.asarray(w, dtype=float)
@@ -211,6 +214,10 @@ class FairClasses:
         # would add them in another order
         self.k = np.asarray([q_i.sum() for q_i in np.split(q, self._ends)[:-1]])
         self._share = q / self.k[owner]
+        self.offset = np.full(len(w), math.nan)
+        self.offset[[k for _, k, _ in pwl]] = [fn.offset for _, _, fn in pwl]
+        (self.seg_class, self.seg_flow, self.seg_slope, self.seg_lo, self.seg_length,
+         self.seg_start) = fill_order(pwl)
 
     def require(self) -> "FairClasses":
         """The table; NotSupportedUtility if a class has NaN constants, DomainError if none."""
@@ -351,15 +358,14 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
     Link loads come from ``x``. Stationarity compares each flow's total
     rate with the conjugate derivative at each of its path prices (link
     price minus the path's nonnegativity dual) and is scaled relative to
-    the rate. Piecewise-linear flows have no conjugate derivative; their
-    stationarity is the Fenchel-Young gap of the flow subproblem at the
-    path price (see ``_pwl_stationarity``); flows of any other family
-    raise NotLegendre. Conservation compares the column sums of ``u[i]``
-    with ``x[i]``, all taken in one ``np.add.reduceat`` over the stacked
-    rates; feasibility and link slackness are scaled by capacity.
+    the rate. A piecewise-linear flow, which has none, is scored by the
+    Fenchel-Young gap of its subproblem at the path price; a flow of any
+    other family raises NotLegendre. Conservation compares the column sums
+    of ``u[i]`` with ``x[i]``, all taken in one ``np.add.reduceat`` over the
+    stacked rates; feasibility and link slackness are scaled by capacity.
 
-    Of ``inst.class_table`` it reads only the raw w, exponents, sizes and
-    other-family flows, never k or the shares. A NaN or infinite rate,
+    Of ``inst.class_table`` it reads only the raw w, exponents, offsets,
+    sizes and segments, never k or the shares. A NaN or infinite rate,
     aggregate or dual fails the check without a warning (its residual is
     NaN or inf); a NaN, infinite or negative ``tol`` raises ValueError.
     """
@@ -403,30 +409,22 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
         ap = a[power, None]
         target[power] = (ap * w[power] / v[power]) ** (1.0 / (ap + 1.0))
     gap = np.abs(totals[:, None] - target)
-    gap /= np.maximum(target, 1e-12, out=target)  # positive, or NaN on the rows of `table.other`
+    gap /= np.maximum(target, 1e-12, out=target)  # positive, or NaN on the rows of other families
     gap[~(price > 0)] = 1.0
-    for k, fam in table.other:
-        if not isinstance(fam, PwlUtility):
-            raise NotLegendre(f"{type(fam).__name__} is not of Legendre type")
-        # negative rates are scored by flow_nonnegativity
-        gap[k] = [_pwl_stationarity(fam.fn, max(totals[k], 0.0), p) for p in price[k]]
+    pwl = ~np.isnan(table.offset)
+    if (np.isnan(a) & ~pwl).any():
+        raise NotLegendre("a flow neither alpha-fair nor piecewise-linear is not of Legendre type")
+    if pwl.any():
+        # the gap sum_s (m_s - v)+ l_s - sum_s m_s fill_s(r) + v r is 0 exactly where r maximizes f(r) - v r
+        r = np.maximum(totals, 0.0)  # flow_nonnegativity scores a negative rate
+        m, seg, length = table.seg_slope, table.seg_flow, table.seg_length
+        value = np.bincount(seg, m * pwl_fill(r, seg, table.seg_lo, length), len(r))[:, None]
+        best = np.zeros(price.shape)
+        np.add.at(best, seg, np.maximum(m[:, None] - price[seg], 0.0) * length[:, None])
+        fy = (best - value + price * r[:, None]) / np.maximum(1.0, np.abs(table.offset[:, None] + value))
+        gap[pwl] = np.where(price < 0, 1.0, fy)[pwl]
     stat = float(np.max(gap, initial=0.0))
     return KktReport(feas, u_neg, dual, slack, flow_slack, stat, cons, tol)
-
-
-def _pwl_stationarity(f: PwlConcave, rate: float, price: float) -> float:
-    """Scaled Fenchel-Young gap of the flow subproblem max_r f(r) - price*r.
-
-    The gap max_b (f(c_b) - price*c_b) - (f(rate) - price*rate) over the
-    breakpoints c_b is zero exactly when ``rate`` solves the subproblem,
-    and is divided by max(1, |f(rate)|). A negative price leaves the
-    subproblem unbounded above and scores 1.0.
-    """
-    if price < 0:
-        return 1.0
-    best = max(pwl_eval(f, cb) - price * cb for cb in f.breakpoints)
-    value = pwl_eval(f, rate)
-    return (best - (value - price * rate)) / max(1.0, abs(value))
 
 
 # The single-path name of the public API; the oracle calls the check under it.

@@ -243,6 +243,10 @@ class TestApportion:
         g = PwlConcave((0.0, 1.0, 4.0), (3.0, 1.0, 0.0))
         assert pwl_apportion([f, g], math.inf) == [2.0, 4.0]
 
+    @pytest.mark.parametrize("x", [0.0, 2.0, math.inf])
+    def test_no_members_give_an_empty_list(self, x):
+        assert pwl_apportion([], x) == []
+
     def test_attains_supremal_convolution_value(self):
         rng = MixRng(31)
         for _ in range(10):

@@ -1140,6 +1140,14 @@ class TestSolvePwlAggregate:
         assert sol.x[0] == 0.0 and sol.objective == 1.0
         assert list(sol.rho) == [0.0]
 
+    def test_constant_flows_give_float_rates(self):
+        # no segment at all: np.bincount of no weights gives ints
+        f = PwlConcave((0.0,), (0.0,), 1.5)
+        sol = solve_pwl_aggregate(_single_link_instance([[PwlUtility(f)]] * 3))
+        assert sol.x.dtype == np.float64 and sol.x.tolist() == [0.0, 0.0, 0.0]
+        assert all(ui.dtype == np.float64 and ui.tolist() == [0.0] for ui in sol.u)
+        assert sol.objective == 4.5
+
     @pytest.mark.parametrize("links", [(), (Link(1, 2, 10.0),)], ids=["no-links", "one-link"])
     def test_no_classes(self, links):
         net = Network(node_count=2, links=links)
@@ -1186,6 +1194,25 @@ class TestSolvePwlAggregate:
         monkeypatch.setattr(utility, "pwl_supconv", refuse)
         sol = solve_pwl_aggregate(inst)
         assert np.array_equal(sol.x, expected.x) and sol.objective == expected.objective
+
+
+class _Unreadable:
+    def __getattribute__(self, name):
+        raise AssertionError(f"read {name!r} of a flow's PwlConcave")
+
+
+def test_pwl_solve_and_certificate_read_no_flow_object():
+    inst = _pwl_instance(20, 5)
+    expected = solve_pwl_aggregate(inst)
+    report = kkt_check(inst, expected.x, expected.u, expected.rho, tol=1e-9)
+    for cls in inst.classes:
+        for f in cls.flows:
+            object.__setattr__(f, "fn", _Unreadable())
+    sol = solve_pwl_aggregate(inst)
+    assert sol.x.tobytes() == expected.x.tobytes() and sol.rho.tobytes() == expected.rho.tobytes()
+    assert all(a.tobytes() == b.tobytes() for a, b in zip(sol.u, expected.u))
+    assert sol.objective == expected.objective and sol.n_iter == expected.n_iter
+    assert kkt_check(inst, sol.x, sol.u, sol.rho, tol=1e-9) == report
 
 
 def _small_n15():

@@ -9,7 +9,7 @@ import pytest
 from numflow.errors import (DimensionMismatch, DomainError, MixedExponent, MixedTags, NotLegendre,
                             NotSupportedUtility)
 from numflow.netmodel import FlowClass, Instance, gen_instance, small_topology
-from numflow.pwl import PwlConcave
+from numflow.pwl import MERGE_TOL, PwlConcave, pwl_apportion, pwl_eval, pwl_fill
 from numflow.rng import MixRng
 from numflow.utility import (
     AggregateQuadratic,
@@ -27,10 +27,9 @@ from numflow.utility import (
     family_to_json,
     kkt_check,
     kkt_check_single_path,
-    _pwl_stationarity,
 )
 
-from helpers import _single_link_instance
+from helpers import _random_pwl, _single_link_instance
 
 
 class TestConstructors:
@@ -218,8 +217,10 @@ class TestFairClasses:
 
 def _table_bytes(table):
     """Every array of a class table, as bytes, so that NaN entries compare too."""
-    return [np.asarray(a).tobytes() for a in (table.k, table.a, table.p, table.sizes,
-                                              table._share, table.w, table.flow_a)]
+    return [np.asarray(a).tobytes() for a in (table.k, table.a, table.p, table.sizes, table._share, table.w,
+                                              table.flow_a, table.offset, table.seg_class, table.seg_flow,
+                                              table.seg_slope, table.seg_lo, table.seg_length,
+                                              table.seg_start)]
 
 
 def _class_table_instances():
@@ -252,15 +253,35 @@ class TestClassTable:
             inst = _class_table_instances()[name]()
             fresh = FairClasses(cls.flows for cls in inst.classes)
         assert _table_bytes(inst.class_table) == _table_bytes(fresh)
-        assert inst.class_table.other == fresh.other
 
     def test_other_families_and_mixed_exponents_make_nan_classes(self):
         table = _class_table_instances()["mixed"]().class_table
         assert np.isnan(table.a).tolist() == [False, True, True, True]
         assert np.isnan(table.k).tolist() == [False, True, True, True]
-        assert [k for k, _ in table.other] == [2, 7]
+        assert np.flatnonzero(np.isnan(table.flow_a)).tolist() == [2, 7]
         with pytest.raises(NotSupportedUtility):
             table.require()
+
+    def test_its_fill_is_pwl_apportion_of_every_class(self):
+        rng = MixRng(41)
+        constant, f = PwlConcave((0.0,), (0.0,), 1.5), PwlConcave((0.0, 2.0), (3.0, 0.0))
+        members = [[_random_pwl(rng) for _ in range(rng.randint(1, 4))] for _ in range(12)] + [
+            [f, PwlConcave((0.0, 1.0, 3.0), (3.0, 1.0, 0.0))],   # equal slopes across members
+            [PwlConcave((0.0, 2.0, 5.0), (3.0, 1.0, 0.0))] * 3,  # identical members
+            [constant, f, constant],
+            [constant, constant],                                # no segment in the class
+            [PwlConcave((0.0, 1.0, 1.0 + MERGE_TOL / 2, 3.0), (4.0, 2.0, 1.5, 0.0)),
+             PwlConcave((0.0, 2.0), (1.75, 0.0))],               # a segment shorter than MERGE_TOL
+        ]
+        table = FairClasses([[PwlUtility(m) for m in ms] for ms in members])
+        total = np.asarray([sum(m.breakpoints[-1] for m in ms) for ms in members])
+        draws = np.random.default_rng(7).uniform(0.0, 1.3, (20, len(members)))
+        for x in [np.zeros(len(members)), total, np.full(len(members), math.inf), *(draws * total)]:
+            fill = pwl_fill(x, table.seg_class, table.seg_start, table.seg_length)
+            u = np.split(np.bincount(table.seg_flow, fill, len(table.w)), np.cumsum(table.sizes))
+            for ms, x_i, u_i in zip(members, x, u):
+                expected = np.asarray(pwl_apportion(ms, x_i))
+                assert np.all(np.abs(u_i - expected) <= 1e-14 * (1.0 + x_i)), (x_i, u_i, expected)
 
     def test_the_table_takes_no_part_in_equality_or_repr(self):
         make = _class_table_instances()["log"]
@@ -339,6 +360,21 @@ class TestKktCheck:
         u = [[2.5], [3.75, 3.75]]
         rep = kkt_check_single_path(inst, [2.5, 7.5], u, [0.4], tol=1e-9)
         assert rep.passed
+
+
+def _pwl_stationarity(f: PwlConcave, rate: float, price: float) -> float:
+    """Scaled Fenchel-Young gap of the flow subproblem max_r f(r) - price*r.
+
+    The gap max_b (f(c_b) - price*c_b) - (f(rate) - price*rate) over the
+    breakpoints c_b is zero exactly when ``rate`` solves the subproblem,
+    and is divided by max(1, |f(rate)|). A negative price leaves the
+    subproblem unbounded above and scores 1.0.
+    """
+    if price < 0:
+        return 1.0
+    best = max(pwl_eval(f, cb) - price * cb for cb in f.breakpoints)
+    value = pwl_eval(f, rate)
+    return (best - (value - price * rate)) / max(1.0, abs(value))
 
 
 def _reference_kkt_check(inst, x, u, lam, tol=1e-6, mu=None):
@@ -527,6 +563,31 @@ def test_an_infinite_entry_fails_the_kkt_check_without_a_warning(entry):
     x, rho, u, mu = sol.x.copy(), sol.rho.copy(), [ui.copy() for ui in sol.u], np.zeros((5, 1))
     {"rho": rho, "x": x, "u": u[0], "mu": mu[0]}[entry][0] = math.inf
     assert not kkt_check(inst, x, u, rho, tol=1e-7, mu=mu).passed
+
+
+@pytest.mark.parametrize("f", [PwlConcave((0.0, 1.0, 3.0), (4.0, 1.5, 0.0), offset=-0.5),
+                               PwlConcave((0.0, 0.5, 2.0, 2.5), (9.0, 3.0, 0.25, 0.0), offset=12.0),
+                               PwlConcave((0.0,), (0.0,), 2.0)],
+                         ids=["small-offset", "large-offset", "constant"])
+def test_pwl_stationarity_is_the_reference_fenchel_young_gap(f):
+    # rates at 0, inside segments, at breakpoints, beyond the last one and infinite;
+    # prices negative, zero, at slopes, between them and NaN
+    rates = sorted({0.0, 0.3, 1.7, 7.5, math.inf, *f.breakpoints})
+    prices = [-0.5, 0.0, 0.2, 1.5, 2.0, 4.0, 9.5, math.nan, *f.slopes]
+    for rate in rates:
+        for price in prices:
+            inst = _single_link_instance([[PwlUtility(f)]])
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                rep = kkt_check(inst, [rate], [[rate]], [price], tol=1e-9)
+            ref = _pwl_stationarity(f, rate, price)
+            if math.isnan(ref) or math.isinf(ref):
+                assert str(rep.stationarity) == str(ref), (rate, price, rep.stationarity, ref)
+            else:
+                bound = 1e-15 * max(1.0, abs(pwl_eval(f, rate)))
+                assert abs(rep.stationarity - ref) <= bound, (rate, price, rep.stationarity, ref)
+            if math.isinf(rate):
+                assert not rep.passed
 
 
 def test_kkt_check_scores_a_pwl_flow_at_a_negative_price_as_one():
