@@ -338,22 +338,13 @@ def _project_qp(z: np.ndarray, G: np.ndarray, h: np.ndarray, max_changes: int):
     return x, nu
 
 
-def _polytope_constraints(R: np.ndarray, c: np.ndarray):
-    """G = [R; -I] and h = [c; 0]; raises DomainError unless 0 <= c < inf."""
-    if not np.all(np.isfinite(c) & (c >= 0.0)):
-        raise DomainError("capacities must be finite and nonnegative")
-    n = R.shape[1]
-    G = np.vstack([R, -np.eye(n)])
-    h = np.concatenate([c, np.zeros(n)])
-    return G, h
-
-
 class _PolytopeProjector:
     """Projections onto {x : R x <= c, x >= 0} for the iterations of one solve.
 
-    G, h and the NNLS cap are built once. Each call first solves on the
-    face of the previous projection: with B its binding link rows, Z its
-    zero coordinates, F the free ones and M = R[B, F],
+    G = [R; -I], h = [c; 0] and the NNLS cap are built once; a capacity
+    that is negative or not finite raises DomainError. Each call first
+    solves on the face of the previous projection: with B its binding link
+    rows, Z its zero coordinates, F the free ones and M = R[B, F],
 
         nu_B = (M M^T)^{-1} (M z_F - c_B),  x_F = z_F - M^T nu_B,  x_Z = 0,
         mu_Z = R[B, Z]^T nu_B - z_Z,
@@ -372,8 +363,11 @@ class _PolytopeProjector:
     """
 
     def __init__(self, R: np.ndarray, c: np.ndarray):
+        if not np.all(np.isfinite(c) & (c >= 0.0)):
+            raise DomainError("capacities must be finite and nonnegative")
         self._R, self._c = R, c
-        self._G, self._h = _polytope_constraints(R, c)
+        self._G = np.vstack([R, -np.eye(R.shape[1])])
+        self._h = np.concatenate([c, np.zeros(R.shape[1])])
         self._max_changes = 10 * sum(R.shape)
         self._bound = _feasibility_bound(self._h)
         self._face = None
@@ -435,9 +429,11 @@ def project_polytope(x, R: np.ndarray, c) -> np.ndarray:
 def project_polytope_with_duals(x, R: np.ndarray, c):
     """Projection plus multipliers (link rows first, nonnegativity rows after).
 
-    ``R`` is the dense routing matrix. One cold ``_project_qp`` solve; no
-    state is kept between calls. Raises DomainError when a capacity is
-    negative or not finite (x = 0 must be feasible) or when x is not finite.
+    ``R`` is the dense routing matrix. The first call of a fresh
+    ``_PolytopeProjector``, which has no face to try, so one cold
+    ``_project_qp`` solve; no state is kept between calls. Raises
+    DomainError when a capacity is negative or not finite (x = 0 must be
+    feasible) or when x is not finite.
     """
     R = np.asarray(R, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -446,8 +442,7 @@ def project_polytope_with_duals(x, R: np.ndarray, c):
         raise DimensionMismatch("projection dimensions inconsistent")
     if not np.all(np.isfinite(z)):
         raise DomainError("the point to project must be finite")
-    G, h = _polytope_constraints(R, c)
-    return _project_qp(z, G, h, 10 * sum(R.shape))
+    return _PolytopeProjector(R, c)(z)
 
 
 # Halvings of the trial step that one projected-gradient step may take
@@ -657,5 +652,5 @@ def solve_pwl_aggregate(inst: Instance, params: SolverParams | None = None) -> S
         table.seg_slope, csc_array(R)[:, table.seg_class], inst.network.capacities, table.seg_length)
     x = np.bincount(table.seg_class, t, inst.n_classes).astype(float)  # ints if no segments
     fill = pwl_fill(x, table.seg_class, table.seg_start, table.seg_length)
-    u = np.split(np.bincount(table.seg_flow, fill, len(table.offset)).astype(float), np.cumsum(table.sizes))
-    return _solution(R, x, tuple(u[:-1]), value + float(table.offset.sum()), duals, n_iter, True, t0)
+    u = np.split(np.bincount(table.seg_flow, fill, len(table.offset)).astype(float), table.starts)[1:]
+    return _solution(R, x, tuple(u), value + float(table.offset.sum()), duals, n_iter, True, t0)

@@ -175,6 +175,12 @@ class FairClasses:
     for a flow of another family. A class of another family or of mixed
     exponents gets NaN constants; ``require`` rejects them. The ``seg_*``
     arrays are ``pwl.fill_order`` of the PWL flows by class and position.
+
+    Flows are stored class by class; ``starts`` holds each class's first
+    flow, the layout that ``split``, ``kkt_check`` and the PWL solve cut flow
+    arrays by. Every class holds a flow (``FlowClass`` rejects an empty one),
+    so k is ``np.add.reduceat`` of the q_k at ``starts``, and a_i the flows'
+    ``np.fmax.reduceat``, NaN unless every flow shares it.
     """
 
     def __init__(self, flows_by_class):
@@ -196,23 +202,15 @@ class FairClasses:
         self.w = np.asarray(w, dtype=float)
         self.flow_a = flow_a = np.asarray(flow_a, dtype=float)
         self.sizes = np.asarray(sizes, dtype=int)
-        self._ends = np.cumsum(self.sizes)
-        # a class's exponent is its flows' largest, NaN unless every flow shares
-        # it (a NaN flow never does); exponents are >= 0, so an empty class has 0
+        self.starts = np.cumsum(self.sizes) - self.sizes
         owner = np.repeat(np.arange(len(sizes)), self.sizes)
-        self.a = np.zeros(len(sizes))
-        np.fmax.at(self.a, owner, flow_a)
-        self.a[owner[flow_a != self.a[owner]]] = math.nan
+        self.a = np.fmax.reduceat(flow_a, self.starts)
+        self.a[owner[flow_a != self.a[owner]]] = math.nan  # a NaN flow never shares it
         self.log = self.a == 0.0
         self.p = 1.0 / (self.a + 1.0)
-        q = self.w.copy()
-        for a_i in np.unique(flow_a[flow_a > 0.0]).tolist():
-            at = flow_a == a_i
-            q[at] = (a_i * self.w[at]) ** (1.0 / (a_i + 1.0))
+        q = np.power(flow_a * self.w, 1.0 / (flow_a + 1.0), out=self.w.copy(), where=flow_a > 0.0)
         q[np.isnan(self.a[owner])] = math.nan
-        # each class's own pairwise sum, as np.sum of its flows; np.add.reduceat
-        # would add them in another order
-        self.k = np.asarray([q_i.sum() for q_i in np.split(q, self._ends)[:-1]])
+        self.k = np.add.reduceat(q, self.starts)
         self._share = q / self.k[owner]
         self.offset = np.full(len(w), math.nan)
         self.offset[[k for _, k, _ in pwl]] = [fn.offset for _, _, fn in pwl]
@@ -246,7 +244,7 @@ class FairClasses:
         log = self.flow_a == 0.0
         objective = (self.w[log] @ np.log(total[log])
                      - self.w[~log] @ total[~log] ** -self.flow_a[~log])
-        return tuple(np.split(rates, self._ends)[:-1]), float(objective)
+        return tuple(np.split(rates, self.starts)[1:]), float(objective)
 
 
 def apportion(cu: ClassUtility, x_star: float) -> list[float]:
@@ -311,6 +309,11 @@ def _max(*values: float) -> float:
     return math.nan if any(map(math.isnan, values)) else max(values)
 
 
+def _worst(violations) -> float:
+    """max(0, the largest violation), NaN if one is NaN; + 0.0 turns a negated zero's -0.0 into 0.0."""
+    return float(np.max(violations, initial=0.0)) + 0.0
+
+
 @dataclass(frozen=True)
 class KktReport:
     """Maximum scaled violations of the flow-level optimality conditions."""
@@ -362,12 +365,14 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
     Fenchel-Young gap of its subproblem at the path price; a flow of any
     other family raises NotLegendre. Conservation compares the column sums
     of ``u[i]`` with ``x[i]``, all taken in one ``np.add.reduceat`` over the
-    stacked rates; feasibility and link slackness are scaled by capacity.
+    stacked rates at the table's ``starts``; feasibility and link slackness
+    are scaled by capacity. Each field is the largest violation and 0: +0.0,
+    never -0.0, when nothing is violated.
 
     Of ``inst.class_table`` it reads only the raw w, exponents, offsets,
-    sizes and segments, never k or the shares. A NaN or infinite rate,
-    aggregate or dual fails the check without a warning (its residual is
-    NaN or inf); a NaN, infinite or negative ``tol`` raises ValueError.
+    sizes, starts and segments, never k or the shares. A NaN or infinite
+    rate, aggregate or dual fails the check without a warning (its residual
+    is NaN or inf); a NaN, infinite or negative ``tol`` raises ValueError.
     """
     check_tol(tol)
     R = inst.routing.dense()
@@ -383,19 +388,19 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
         raise DimensionMismatch("one flow-rate array per class required")
 
     load = R @ x.reshape(-1)
-    feas = float(np.max((load - c) / np.maximum(c, 1.0), initial=0.0))
-    dual = _max(float(np.max(-lam, initial=0.0)), float(np.max(-mu, initial=0.0)))
-    slack = float(np.max(np.abs(lam * (load - c)) / np.maximum(c, 1.0), initial=0.0))
+    feas = _worst((load - c) / np.maximum(c, 1.0))
+    dual = _max(_worst(-lam), _worst(-mu))
+    slack = _worst(np.abs(lam * (load - c)) / np.maximum(c, 1.0))
 
     table = inst.class_table
     w, a, sizes = table.w, table.flow_a, table.sizes.tolist()
     per_class = [_per_path(u[i], (k, J), f"class {i} flow rates") for i, k in enumerate(sizes)]
     rates = np.concatenate(per_class) if n else np.zeros((0, J))
     # each class's column sums, reduced from its first flow's row on
-    sums = np.add.reduceat(rates, np.cumsum([0, *sizes])[:-1], axis=0)
-    u_neg = float(np.max(-rates, initial=0.0))
-    flow_slack = float(np.max(np.abs(np.repeat(mu, sizes, axis=0) * rates), initial=0.0))
-    cons = float(np.max(np.abs(sums - x) / np.maximum(np.abs(x), 1.0), initial=0.0))
+    sums = np.add.reduceat(rates, table.starts, axis=0)
+    u_neg = _worst(-rates)
+    flow_slack = _worst(np.abs(np.repeat(mu, sizes, axis=0) * rates))
+    cons = _worst(np.abs(sums - x) / np.maximum(np.abs(x), 1.0))
 
     # each log and power flow's total rate against w/v or (a w/v)^(1/(a+1)) at its
     # (K, J) path prices v; a non-positive path price cannot be stationary: 1.0
@@ -423,8 +428,7 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
         np.add.at(best, seg, np.maximum(m[:, None] - price[seg], 0.0) * length[:, None])
         fy = (best - value + price * r[:, None]) / np.maximum(1.0, np.abs(table.offset[:, None] + value))
         gap[pwl] = np.where(price < 0, 1.0, fy)[pwl]
-    stat = float(np.max(gap, initial=0.0))
-    return KktReport(feas, u_neg, dual, slack, flow_slack, stat, cons, tol)
+    return KktReport(feas, u_neg, dual, slack, flow_slack, _worst(gap), cons, tol)
 
 
 # The single-path name of the public API; the oracle calls the check under it.

@@ -33,7 +33,6 @@ from numflow.rng import MixRng, mix
 from numflow.solvers import (
     SolverParams,
     _PolytopeProjector,
-    _polytope_constraints,
     _project_qp,
     admm_u_update,
     cp_prox_f,
@@ -520,9 +519,11 @@ class TestSharedGradprojLoop:
         assert sol.converged and sol.n_iter <= 100
         assert abs(sol.objective - oracle) <= 1e-10 * abs(oracle)
 
-    def test_stalled_iterate_falls_back_to_alpha(self):
-        # with tol=0 the loop runs to max_iter; once x stops moving, s = 0
-        # and -s.y = 0, so the trial step is alpha again
+    def test_stalled_iterate_falls_back_to_alpha(self, monkeypatch):
+        # a residual that never meets the tolerance runs the loop to max_iter
+        # (gradproj on N=3 reaches a residual of exactly 0 at tol=0); once x
+        # stops moving, s = 0 and -s.y = 0, so the trial step is alpha again
+        monkeypatch.setattr(solvers, "aggregate_kkt_residual", lambda *args: math.inf)
         params = SolverParams(tol=0.0, max_iter=200)
         inst, oracle = _small_gradproj_case(3)
         sol = solve_gradproj(inst, params)
@@ -690,6 +691,12 @@ def _reference_project_qp(z, G, h, max_changes):
     raise AssertionError("reference active-set loop did not settle")
 
 
+def _constraints(R, c):
+    """G = [R; -I] and h = [c; 0], as a projector builds them."""
+    project = _PolytopeProjector(R, c)
+    return project._G, project._h
+
+
 def _projection_constraints(name):
     if name == "small":
         inst = gen_instance(small_topology(), 30, seed=1)
@@ -699,7 +706,7 @@ def _projection_constraints(name):
     else:  # the routing of the multipath job that diverges
         inst = gen_multipath_instance(small_topology(), 10, 1, paths_per_class=2)
     R = inst.routing.dense()
-    G, h = _polytope_constraints(R, inst.network.capacities)
+    G, h = _constraints(R, inst.network.capacities)
     return G, h, 10 * sum(R.shape)
 
 
@@ -754,7 +761,7 @@ def _iterate_points(inst, alpha, count):
     R, c, ws = _log_arrays(inst)
     wbar = np.asarray([w.sum() for w in ws])
     n, J = len(ws), inst.paths_per_class
-    G, h = _polytope_constraints(R, c)
+    G, h = _constraints(R, c)
     x = np.full(n * J, 0.5 * float(np.min(c / np.maximum(R.sum(axis=1), 1.0))))
     zs = []
     for _ in range(count):
@@ -766,7 +773,7 @@ def _iterate_points(inst, alpha, count):
 
 
 def _assert_projects_like_cold_solve(R, c, z, x, nu):
-    G, h = _polytope_constraints(R, c)
+    G, h = _constraints(R, c)
     ref, _ = _project_qp(z, G, h, 10 * sum(R.shape))
     assert float(np.max(np.abs(x - ref))) <= 1e-12 * (1.0 + float(np.max(np.abs(z))))
     assert _scaled_kkt_residual(z, G, h, x, nu) <= 1e-12

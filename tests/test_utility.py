@@ -2,15 +2,16 @@
 
 import math
 import warnings
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
 from numflow.errors import (DimensionMismatch, DomainError, MixedExponent, MixedTags, NotLegendre,
                             NotSupportedUtility)
-from numflow.netmodel import FlowClass, Instance, gen_instance, small_topology
-from numflow.pwl import MERGE_TOL, PwlConcave, pwl_apportion, pwl_eval, pwl_fill
-from numflow.rng import MixRng
+from numflow.netmodel import FlowClass, Instance, gen_instance, iridium_topology, small_topology
+from numflow.pwl import MERGE_TOL, PwlConcave, fill_order, pwl_apportion, pwl_eval, pwl_fill
+from numflow.rng import MixRng, mix
 from numflow.utility import (
     AggregateQuadratic,
     FairClasses,
@@ -217,9 +218,9 @@ class TestFairClasses:
 
 def _table_bytes(table):
     """Every array of a class table, as bytes, so that NaN entries compare too."""
-    return [np.asarray(a).tobytes() for a in (table.k, table.a, table.p, table.sizes, table._share, table.w,
-                                              table.flow_a, table.offset, table.seg_class, table.seg_flow,
-                                              table.seg_slope, table.seg_lo, table.seg_length,
+    return [np.asarray(a).tobytes() for a in (table.k, table.a, table.p, table.sizes, table.starts, table._share,
+                                              table.w, table.flow_a, table.offset, table.seg_class,
+                                              table.seg_flow, table.seg_slope, table.seg_lo, table.seg_length,
                                               table.seg_start)]
 
 
@@ -245,7 +246,74 @@ def _class_table_instances():
     }
 
 
+def _reference_table(flows_by_class):
+    """The class table as a walk and loops build it: class sums and bounds
+    by ``np.split`` views, q one exponent at a time, exponents by ``np.fmax.at``."""
+    w, flow_a, sizes, pwl = [], [], [], []
+    for i, flows in enumerate(flows_by_class):
+        sizes.append(len(flows))
+        for f in flows:
+            if isinstance(f, (WeightedLog, NegPower)):
+                w.append(f.w)
+                flow_a.append(f.a if isinstance(f, NegPower) else 0.0)
+            else:
+                if isinstance(f, PwlUtility):
+                    pwl.append((i, len(w), f.fn))
+                w.append(math.nan)
+                flow_a.append(math.nan)
+    w, flow_a, sizes = np.asarray(w, dtype=float), np.asarray(flow_a, dtype=float), np.asarray(sizes, dtype=int)
+    ends = np.cumsum(sizes)
+    owner = np.repeat(np.arange(len(sizes)), sizes)
+    a = np.zeros(len(sizes))
+    np.fmax.at(a, owner, flow_a)
+    a[owner[flow_a != a[owner]]] = math.nan
+    q = w.copy()
+    for a_i in np.unique(flow_a[flow_a > 0.0]).tolist():
+        at = flow_a == a_i
+        q[at] = (a_i * w[at]) ** (1.0 / (a_i + 1.0))
+    q[np.isnan(a[owner])] = math.nan
+    k = np.asarray([q_i.sum() for q_i in np.split(q, ends)[:-1]])
+    offset = np.full(len(w), math.nan)
+    offset[[f for _, f, _ in pwl]] = [fn.offset for _, _, fn in pwl]
+    seg = dict(zip(["seg_class", "seg_flow", "seg_slope", "seg_lo", "seg_length", "seg_start"],
+                   fill_order(pwl)))
+    exact = dict(a=a, p=1.0 / (a + 1.0), log=a == 0.0, sizes=sizes, starts=ends - sizes, w=w,
+                 flow_a=flow_a, offset=offset, **seg)
+    return exact, k, q / k[owner]
+
+
+def _reference_table_cases():
+    small = small_topology()
+    rng = MixRng(43)
+    families = [lambda: WeightedLog(0.1 + rng.uniform()), lambda: NegPower(0.1 + rng.uniform(), 1.0),
+                lambda: NegPower(0.1 + rng.uniform(), 2.5), lambda: PwlUtility(_random_pwl(rng))]
+    # classes of 1 to 300 flows of one family, and some of two
+    drawn = [[families[j]() for _ in range(rng.randint(1, 300))]
+             for j in (rng.randint(0, 3) for _ in range(30))]
+    drawn += [[families[0](), families[1]()], [families[1](), families[2]()], [families[2](), families[3]()]]
+    cases = {name: [cls.flows for cls in _class_table_instances()[name]().classes]
+             for name in ("log", "power", "mixed", "pwl", "empty")}
+    cases.update({f"power-a{a}": [cls.flows for cls in gen_instance(
+        small, 30, seed=5, utility_spec={"family": "power", "a": a}).classes] for a in (1.0, 5.0)})
+    cases["single-flow"] = [[WeightedLog(0.7)], [NegPower(1.3, 1.0)], [NegPower(0.4, 5.0)],
+                            [PwlUtility(PwlConcave((0.0, 1.0), (2.0, 0.0)))], [Quadratic(1.0)]]
+    cases["drawn"] = drawn
+    return cases
+
+
 class TestClassTable:
+    @pytest.mark.parametrize("name", sorted(_reference_table_cases()))
+    def test_matches_the_reference_build(self, name):
+        flows_by_class = _reference_table_cases()[name]
+        table = FairClasses(flows_by_class)
+        exact, k, share = _reference_table(flows_by_class)
+        for key, ref in exact.items():
+            assert np.asarray(getattr(table, key)).tobytes() == ref.tobytes(), key
+        assert np.array_equal(np.isnan(table.k), np.isnan(k))
+        assert np.all(np.abs(table.k - k)[~np.isnan(k)] <= 5e-16 * np.abs(k[~np.isnan(k)]))
+        assert np.array_equal(np.isnan(table._share), np.isnan(share))
+        assert np.all(np.abs(table._share - share)[~np.isnan(share)] <= 1e-15)
+
     @pytest.mark.parametrize("name", sorted(_class_table_instances()))
     def test_is_a_fresh_table_of_the_flows(self, name):
         with warnings.catch_warnings():
@@ -328,6 +396,28 @@ class TestKktCheck:
         rep = kkt_check_single_path(inst, [10.0], u, [0.1], tol=1e-9)
         assert rep.passed
         assert rep.max_residual <= 1e-12
+
+    def test_no_field_is_a_negative_zero(self):
+        # negating a zero rate or a zero dual gives -0.0; a field reads +0.0
+        from numflow.harness import oracle_solve
+        from numflow.solvers import solve_pwl_aggregate
+
+        base = gen_instance(iridium_topology(), 75, 1, endpoint_rule="gateway-constrained")
+        rng = MixRng(mix(1, 75))
+        inst = Instance(base.network, tuple(
+            FlowClass(c.source, c.destination, c.paths,
+                      tuple(PwlUtility(_random_pwl(rng)) for _ in range(rng.randint(1, 3))))
+            for c in base.classes), base.routing)
+        sol = solve_pwl_aggregate(inst)
+        assert np.any(np.concatenate(sol.u) == 0.0) and np.any(sol.rho == 0.0)
+        assert np.all(np.concatenate(sol.u) >= 0.0) and np.all(sol.rho >= 0.0)
+        reports = [kkt_check(inst, sol.x, sol.u, sol.rho, tol=1e-9)]
+        inst = gen_instance(small_topology(), 10, 1)
+        sol = oracle_solve(inst)
+        reports.append(kkt_check(inst, sol.x, sol.u, np.zeros_like(sol.rho)))
+        for rep in reports:
+            for f in fields(rep):
+                assert math.copysign(1.0, getattr(rep, f.name)) == 1.0, f.name
 
     def test_zero_dual_breaks_stationarity(self):
         inst = _single_link_instance([[WeightedLog(0.4), WeightedLog(0.6)]])
