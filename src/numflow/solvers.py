@@ -27,6 +27,11 @@ Three solvers share the aggregate-flow structure:
   it solves the least-distance problem cold, as NNLS by
   ``scipy.optimize.nnls``, and takes the next face from its multipliers.
 
+CP and projected gradient stop once ``utility.aggregate_kkt_residual`` is at
+most ``params.tol``. Its terms are the certificate's, ``kkt_check``'s, with
+each class one flow of weight wbar_i: link excess scaled by max(c, 1), link
+slackness by max(c, 1) max(lam, 1), and each class rate against wbar_i / v_i.
+
 Linear algebra is numpy's. scipy is imported only where it runs: by the
 cold projection (NNLS) and by the LP path (HiGHS and its sparse matrix),
 so ``import numflow`` and the ADMM, CP and oracle solves load no scipy.
@@ -429,11 +434,10 @@ def project_polytope(x, R: np.ndarray, c) -> np.ndarray:
 def project_polytope_with_duals(x, R: np.ndarray, c):
     """Projection plus multipliers (link rows first, nonnegativity rows after).
 
-    ``R`` is the dense routing matrix. The first call of a fresh
-    ``_PolytopeProjector``, which has no face to try, so one cold
-    ``_project_qp`` solve; no state is kept between calls. Raises
-    DomainError when a capacity is negative or not finite (x = 0 must be
-    feasible) or when x is not finite.
+    ``R`` is the dense routing matrix. One cold ``_project_qp`` solve on a
+    fresh ``_PolytopeProjector``'s G, h and NNLS cap, with no face factored
+    and no state kept between calls. Raises DomainError when a capacity is
+    negative or not finite (x = 0 must be feasible) or when x is not finite.
     """
     R = np.asarray(R, dtype=float)
     c = np.asarray(c, dtype=float)
@@ -442,7 +446,8 @@ def project_polytope_with_duals(x, R: np.ndarray, c):
         raise DimensionMismatch("projection dimensions inconsistent")
     if not np.all(np.isfinite(z)):
         raise DomainError("the point to project must be finite")
-    return _PolytopeProjector(R, c)(z)
+    project = _PolytopeProjector(R, c)
+    return _project_qp(z, project._G, project._h, project._max_changes)
 
 
 # Halvings of the trial step that one projected-gradient step may take

@@ -275,29 +275,42 @@ def apportion(cu: ClassUtility, x_star: float) -> list[float]:
     raise MixedTags(f"cannot apportion {type(first).__name__}")
 
 
+def _link_terms(R, c, x, lam):
+    """Each link's excess (R x - c) / max(c, 1) and slackness |lam (R x - c)| / (max(c, 1) max(lam, 1))."""
+    excess = R @ x - c
+    cap = np.maximum(c, 1.0)
+    return excess / cap, np.abs(lam * excess) / (cap * np.maximum(lam, 1.0))
+
+
+def _rate_gap(totals, w, price, a):
+    """Each flow's total rate against w/v or (a w/v)^(1/(a+1)) (a = 0: log) at its (K, J)
+    path prices v, relative to that target; 1.0 where v <= 0, which no rate meets."""
+    v = np.where(price > 0, price, 1.0)
+    target = w[:, None] / v
+    power = a > 0
+    if power.any():
+        ap = a[power, None]
+        target[power] = (ap * w[power, None] / v[power]) ** (1.0 / (ap + 1.0))
+    gap = np.abs(totals[:, None] - target) / np.maximum(target, 1e-12)
+    gap[~(price > 0)] = 1.0
+    return gap
+
+
 def aggregate_kkt_residual(R, c, wbar, x, lam, mu=None) -> float:
     """Max scaled violation of the aggregate problem's optimality conditions.
 
     ``x`` holds the N*J per-path aggregates class by class, so J is
     ``len(x) // len(wbar)``; the single-path problem is J = 1. ``mu`` holds
     the path-nonnegativity duals; None means zero and skips their terms.
-    A NaN in any term makes the residual NaN.
+    The terms are ``kkt_check``'s with each class one log flow of weight
+    wbar_i, plus the duals' sign and |mu x|, so where mu x = 0 this is the
+    certificate's ``max_residual`` at the share split of x. A NaN in any
+    term makes the residual NaN.
     """
-    J = len(x) // len(wbar)
-    excess = R @ x - c
-    cap = np.maximum(c, 1.0)
-    price = R.T @ lam
-    if mu is not None:
-        price = price - mu
-    # J = 1 skips the class sums and the repeat, a fifth of a call at N = 30
-    if J == 1:
-        grad = wbar / np.maximum(x, 1e-300)
-    else:
-        grad = np.repeat(wbar / np.maximum(x.reshape(-1, J).sum(axis=1), 1e-300), J)
-    # feasibility, slackness, dual sign and stationarity (then the path
-    # duals' sign and slackness), reduced together: a maximum is exact
-    parts = [excess / cap, np.abs(lam * excess) / cap, -lam,
-             np.abs(grad - price) / np.maximum(grad, 1e-12)]
+    excess, slack = _link_terms(R, c, x, lam)
+    price = (R.T @ lam if mu is None else R.T @ lam - mu).reshape(len(wbar), -1)
+    gap = _rate_gap(x.reshape(price.shape).sum(axis=1), wbar, price, np.zeros(len(wbar)))
+    parts = [excess, slack, -lam, gap.ravel()]
     if mu is not None:
         parts += [-mu, np.abs(mu * x)]
     return float(np.maximum.reduce(np.concatenate(parts), initial=0.0))
@@ -358,16 +371,16 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
     ``mu`` the (N, J) path-nonnegativity duals, zero when left out. A
     single path is the case J = 1.
 
-    Link loads come from ``x``. Stationarity compares each flow's total
-    rate with the conjugate derivative at each of its path prices (link
-    price minus the path's nonnegativity dual) and is scaled relative to
-    the rate. A piecewise-linear flow, which has none, is scored by the
-    Fenchel-Young gap of its subproblem at the path price; a flow of any
-    other family raises NotLegendre. Conservation compares the column sums
-    of ``u[i]`` with ``x[i]``, all taken in one ``np.add.reduceat`` over the
-    stacked rates at the table's ``starts``; feasibility and link slackness
-    are scaled by capacity. Each field is the largest violation and 0: +0.0,
-    never -0.0, when nothing is violated.
+    Link loads come from ``x``; feasibility and link slackness are
+    ``_link_terms``, slackness scaled by max(c, 1) max(lam, 1). Stationarity
+    is ``_rate_gap``, each flow's total rate against its conjugate derivative
+    at each path price (link price minus the path's nonnegativity dual). A
+    piecewise-linear flow is scored by the Fenchel-Young gap of its
+    subproblem at the path price; a flow of any other family raises
+    NotLegendre. Conservation compares the column sums of ``u[i]`` with
+    ``x[i]``, in one ``np.add.reduceat`` at the table's ``starts``. Each
+    field is the largest violation and 0 (+0.0, never -0.0).
+    ``aggregate_kkt_residual`` is these terms with each class one flow.
 
     Of ``inst.class_table`` it reads only the raw w, exponents, offsets,
     sizes, starts and segments, never k or the shares. A NaN or infinite
@@ -387,10 +400,8 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
     if len(u) != n:
         raise DimensionMismatch("one flow-rate array per class required")
 
-    load = R @ x.reshape(-1)
-    feas = _worst((load - c) / np.maximum(c, 1.0))
+    feas, slack = map(_worst, _link_terms(R, c, x.reshape(-1), lam))
     dual = _max(_worst(-lam), _worst(-mu))
-    slack = _worst(np.abs(lam * (load - c)) / np.maximum(c, 1.0))
 
     table = inst.class_table
     w, a, sizes = table.w, table.flow_a, table.sizes.tolist()
@@ -402,20 +413,9 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
     flow_slack = _worst(np.abs(np.repeat(mu, sizes, axis=0) * rates))
     cons = _worst(np.abs(sums - x) / np.maximum(np.abs(x), 1.0))
 
-    # each log and power flow's total rate against w/v or (a w/v)^(1/(a+1)) at its
-    # (K, J) path prices v; a non-positive path price cannot be stationary: 1.0
     totals = rates.sum(axis=1)
     price = np.repeat((R.T @ lam).reshape(n, J) - mu, sizes, axis=0)
-    v = np.where(price > 0, price, 1.0)
-    w = w[:, None]
-    target = w / v
-    power = a > 0
-    if power.any():
-        ap = a[power, None]
-        target[power] = (ap * w[power] / v[power]) ** (1.0 / (ap + 1.0))
-    gap = np.abs(totals[:, None] - target)
-    gap /= np.maximum(target, 1e-12, out=target)  # positive, or NaN on the rows of other families
-    gap[~(price > 0)] = 1.0
+    gap = _rate_gap(totals, w, price, a)  # NaN on the rows of other families
     pwl = ~np.isnan(table.offset)
     if (np.isnan(a) & ~pwl).any():
         raise NotLegendre("a flow neither alpha-fair nor piecewise-linear is not of Legendre type")

@@ -294,6 +294,15 @@ class TestOracle:
         sol = oracle_solve(inst)
         assert kkt_check_single_path(inst, sol.x, sol.u, sol.rho, tol=1e-7).passed
 
+    def test_certifies_large_prices(self):
+        # at a = 5 link prices reach about 1e13; slackness in price units
+        # failed the default certificate at 1.8e-7
+        inst = gen_instance(iridium_topology(), 300, mix(1, 300), {"family": "power", "a": 5.0},
+                            "gateway-constrained")
+        sol = oracle_solve(inst)
+        assert np.max(sol.rho) > 1e10
+        assert kkt_check_single_path(inst, sol.x, sol.u, sol.rho, tol=1e-7).passed
+
     @pytest.mark.parametrize("scale", [1e-4, 1e-2, 1e2, 1e4])
     @pytest.mark.parametrize("base", ["small-20", "iridium-300"])
     def test_certifies_scaled_weights(self, base, scale):

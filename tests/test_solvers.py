@@ -415,29 +415,38 @@ def _assert_at_oracle_optimum(inst, sol):
     assert kkt_check(inst, sol.x, sol.u, sol.rho, tol=1e-4).passed
 
 
-def _reference_aggregate_residual(R, c, wbar, x, lam):
-    """Single-path aggregate residual as gradproj and CP computed it."""
+def _reference_stationarity(wbar, x_bar, price):
+    """Each class total against wbar / v at each of its (N, J) path prices v,
+    relative to wbar / v; 1.0 where v <= 0."""
+    target = wbar[:, None] / np.where(price > 0, price, 1.0)
+    gap = np.abs(x_bar[:, None] - target) / np.maximum(target, 1e-12)
+    return float(np.max(np.where(price > 0, gap, 1.0)))
+
+
+def _reference_link_terms(R, c, x, lam):
+    """Largest scaled link excess, and largest slackness relative to the
+    capacity and to a price above 1."""
     load = R @ x
     feas = np.max((load - c) / np.maximum(c, 1.0), initial=0.0)
-    slack = np.max(np.abs(lam * (load - c)) / np.maximum(c, 1.0), initial=0.0)
+    slack = np.max(np.abs(lam * (load - c)) / (np.maximum(c, 1.0) * np.maximum(lam, 1.0)), initial=0.0)
+    return feas, slack
+
+
+def _reference_aggregate_residual(R, c, wbar, x, lam):
+    """Single-path aggregate residual: each class one flow of weight wbar_i."""
+    feas, slack = _reference_link_terms(R, c, x, lam)
     dual = np.max(-lam, initial=0.0)
-    price = R.T @ lam
-    grad = wbar / np.maximum(x, 1e-300)
-    stat = np.max(np.abs(grad - price) / np.maximum(grad, 1e-12))
+    stat = _reference_stationarity(wbar, x, (R.T @ lam)[:, None])
     return float(max(feas, slack, dual, stat))
 
 
 def _reference_multipath_residual(R, c, wbar, x_flat, lam, mu_flat, J):
-    """Per-path aggregate residual as the multipath loop computed it."""
-    load = R @ x_flat
-    feas = np.max((load - c) / np.maximum(c, 1.0), initial=0.0)
-    slack = np.max(np.abs(lam * (load - c)) / np.maximum(c, 1.0), initial=0.0)
+    """Per-path aggregate residual: each class one flow over its J paths."""
+    feas, slack = _reference_link_terms(R, c, x_flat, lam)
     dual = max(np.max(-lam, initial=0.0), np.max(-mu_flat, initial=0.0))
     comp_mu = np.max(np.abs(mu_flat * x_flat), initial=0.0)
-    price = R.T @ lam - mu_flat
-    x_bar = x_flat.reshape(-1, J).sum(axis=1)
-    grad = np.repeat(wbar / np.maximum(x_bar, 1e-300), J)
-    stat = np.max(np.abs(grad - price) / np.maximum(grad, 1e-12))
+    price = (R.T @ lam - mu_flat).reshape(-1, J)
+    stat = _reference_stationarity(wbar, x_flat.reshape(-1, J).sum(axis=1), price)
     return float(max(feas, slack, dual, comp_mu, stat))
 
 
@@ -593,8 +602,56 @@ class TestAggregateKktResidual:
                 got = aggregate_kkt_residual(R, c, wbar, x, lam, m)
                 assert np.float64(got).tobytes() == np.float64(ref).tobytes()
 
+    @pytest.mark.parametrize("name", ["small-20", "iridium-75", "multipath-10"])
+    def test_is_the_certificate_at_the_share_split(self, name):
+        # each class is one flow of weight k_i: at the flows' shares of x the
+        # certificate scores the same terms, wherever mu x = 0
+        if name == "small-20":
+            inst = gen_instance(small_topology(), 20, seed=1)
+        elif name == "iridium-75":
+            inst = _iridium_75()
+        else:
+            inst = gen_multipath_instance(small_topology(), 10, 1, paths_per_class=2)
+        R, c, table = inst.routing.dense(), inst.network.capacities, inst.class_table
+        n, J = len(table.k), inst.paths_per_class
+        rng = np.random.default_rng(7)
+        for _ in range(40):
+            x = 5.0 * rng.random(n * J) * (rng.random(n * J) > 0.2)
+            # link prices within a decade of a scale from 1e-3 to 1e8, some zero,
+            # a random share of them negative
+            sign = np.where(rng.random(R.shape[0]) < rng.random(), -1.0, 1.0)
+            scale = 10.0 ** (rng.uniform(-3.0, 8.0) + rng.uniform(-1.0, 1.0, R.shape[0]))
+            lam = sign * scale * (rng.random(R.shape[0]) > 0.2)
+            mu = rng.standard_normal(n * J) * 10.0 ** rng.uniform(-3.0, 3.0) * (x == 0.0)
+            with np.errstate(divide="ignore"):  # the split's objective at a zero rate
+                u, _ = table.split(x.reshape(n, J) if J > 1 else x)
+            for m in (mu, None):
+                got = aggregate_kkt_residual(R, c, table.k, x, lam, m)
+                want = kkt_check(inst, x.reshape(n, J), u, lam, mu=None if m is None else m.reshape(n, J))
+                assert abs(got - want.max_residual) <= 1e-12 * (1.0 + want.max_residual)
+
 
 class TestProjectPolytope:
+    def test_factors_no_face(self, monkeypatch):
+        # one cold solve, whose face no later call would use
+        calls = []
+        factor = _PolytopeProjector._factor_face
+
+        def counted(self, nu):
+            calls.append(1)
+            return factor(self, nu)
+
+        monkeypatch.setattr(_PolytopeProjector, "_factor_face", counted)
+        inst = gen_instance(small_topology(), 30, seed=1)
+        R, c = inst.routing.dense(), inst.network.capacities
+        z = 10.0 * (np.random.default_rng(19).standard_normal(R.shape[1]) + 0.5)
+        G, h = _constraints(R, c)
+        x, nu = project_polytope_with_duals(z, R, c)
+        want = _project_qp(z, G, h, 10 * sum(R.shape))
+        assert np.any(nu[:R.shape[0]] > 0.0)  # some link binds: a face to factor
+        assert x.tobytes() == want[0].tobytes() and nu.tobytes() == want[1].tobytes()
+        assert calls == []
+
     def test_feasible_point_unchanged(self):
         R = np.asarray([[1.0, 1.0]])
         out = project_polytope(np.asarray([2.0, 3.0]), R, np.asarray([10.0]))

@@ -480,7 +480,7 @@ def _reference_kkt_check(inst, x, u, lam, tol=1e-6, mu=None):
     load = R @ x.reshape(-1)
     feas = float(np.max((load - c) / np.maximum(c, 1.0), initial=0.0))
     dual = max(float(np.max(-lam, initial=0.0)), float(np.max(-mu, initial=0.0)))
-    slack = float(np.max(np.abs(lam * (load - c)) / np.maximum(c, 1.0), initial=0.0))
+    slack = float(np.max(np.abs(lam * (load - c)) / (np.maximum(c, 1.0) * np.maximum(lam, 1.0)), initial=0.0))
     u_neg = flow_slack = stat = cons = 0.0
     for i, cls in enumerate(inst.classes):
         rates = np.asarray(u[i], dtype=float).reshape(len(cls.flows), J)
