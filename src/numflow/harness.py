@@ -238,7 +238,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
 
     The per-N instance seed is mix(base seed, N), so adding N values never
     reshuffles existing instances. Rows run one after another, so each
-    row's timing is taken with no other solve running in the process.
+    row's timing, the ``wall_time`` of its repetitions' Solutions, is taken
+    with no other solve running in the process.
     """
     net, default_rule = resolve_topology(cfg.topology)
     rule = cfg.endpoint_rule or default_rule
@@ -254,13 +255,8 @@ def run_experiment(cfg: ExperimentConfig) -> Report:
         fn = SOLVERS[solver]
         params = cfg.solver_params(solver)
         try:
-            times = []
-            sol = None
-            for _ in range(cfg.repetitions):
-                t0 = time.perf_counter()
-                sol = fn(inst, params)
-                times.append(time.perf_counter() - t0)
-            return _recomputed_row(inst, solver, sol, times)
+            sols = [fn(inst, params) for _ in range(cfg.repetitions)]
+            return _recomputed_row(inst, solver, sols[-1], [sol.wall_time for sol in sols])
         except Exception as exc:
             return ReportRow(solver, n, float("nan"), float("nan"), 0, 0.0, 0.0, False,
                              f"{type(exc).__name__}: {exc}")

@@ -163,11 +163,9 @@ class Instance:
             if len(cls.paths) != self.paths_per_class:
                 raise ValueError(f"class {cls.source}->{cls.destination} has {len(cls.paths)} paths, "
                                  f"not paths_per_class = {self.paths_per_class}")
-        expected = len(self.classes) * self.paths_per_class
-        if self.routing.cols != expected:
-            raise ValueError("routing matrix width inconsistent with classes")
-        if self.routing.rows != len(self.network.links):
-            raise ValueError("routing matrix height inconsistent with network")
+        paths = tuple(tuple(sorted(path)) for cls in self.classes for path in cls.paths)
+        if self.routing.col_links != paths or self.routing.rows != len(self.network.links):
+            raise ValueError("routing matrix is not the classes' paths over the network's links")
         object.__setattr__(self, "class_table", FairClasses(cls.flows for cls in self.classes))
 
     @property

@@ -7,8 +7,8 @@ Three solvers share the aggregate-flow structure:
   push-through identity: one product with R, one with the prefactored
   L x L inverse of I + R R^T and one with R^T, which also yields R x.
   Every flow update of a class is ``u_k = w_k t_i`` for one class scalar
-  ``t_i``, so an iteration works on N-vectors only; flow rates are built
-  once, after the loop.
+  ``t_i``, so an iteration works on N-vectors only; flow rates are split
+  once, after the loop, from the returned class rates.
 * ``solve_cp``: Chambolle-Pock primal-dual iteration with componentwise
   proximal maps on the N-variable aggregate problem; its operator is the
   routing matrix R itself.
@@ -62,7 +62,7 @@ from .errors import DimensionMismatch, DomainError, MaxIterExceeded, NotSupporte
 from .netmodel import Instance
 from .pwl import pwl_fill
 from .pwl import pwl_apportion  # noqa: F401  (patched by the benchmark tracer)
-from .utility import FairClasses, aggregate_kkt_residual
+from .utility import FairClasses, aggregate_kkt_residual, check_tol
 
 if TYPE_CHECKING:
     import scipy.sparse
@@ -86,8 +86,8 @@ class SolverParams:
         r, alpha, pct, tol = (_real(getattr(self, name), name) for name in ("r", "alpha", "pct", "tol"))
         if not all(math.isfinite(v) and v > 0 for v in (r, alpha)):
             raise ValueError("r and alpha must be finite and positive")
-        if not all(math.isfinite(v) and v >= 0 for v in (pct, tol)):
-            raise ValueError("pct and tol must be finite and nonnegative")
+        check_tol(pct, "pct")
+        check_tol(tol)
         if not _is_int(self.max_iter) or self.max_iter < 1:
             raise ValueError("max_iter must be an integer >= 1")
 
@@ -228,13 +228,17 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
     t_i = 2 / (psi_i + sqrt(psi_i^2 + 4 r wbar_i)). The class sum is then
     wbar_i t_i, and the class's share of the log objective is
     sum_k w_k log w_k + wbar_i log t_i, whose first term is a constant.
-    The loop carries t and splits s = wbar t among the flows after it stops;
-    the reported objective is the same closed form at the last t. The x-step
-    (I + R^T R) x = s + lam/r + R^T (y + rho/r) is ``SpdFactor.solve_split``,
+    The loop carries t and scores the Lagrangian with that closed form. The
+    x-step (I + R^T R) x = s + lam/r + R^T (y + rho/r) is ``SpdFactor.solve_split``,
     which returns R x with x: one product with R, one with the prefactored
     L x L inverse and one with R^T per iteration. The residuals s - x and
     y - R x, computed once, serve the multiplier updates and the augmented
     Lagrangian.
+
+    The solve returns one point p, the consensus rates x where positive and
+    the class sums s = wbar t elsewhere (x > 0 except after an early stop):
+    ``Solution.x`` is p, and the flow rates and objective are
+    ``classes.split(p)``, as every other alpha-fair solver returns them.
 
     Stops when the augmented Lagrangian changes by less than ``params.pct``
     percent (relative change below pct/100) on three consecutive
@@ -283,11 +287,12 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
             flat_streak = 0
         prev = cur
 
-    u, _ = classes.split(s)
+    p = np.where(x > 0, x, s)
+    u, objective = classes.split(p)
     # The splitting multiplier converges to minus the capacity dual (the
     # y-stationarity of the recast problem pairs rho with -eta), so the
     # reported link duals are negated.
-    return _solution(R, x, u, objective, -rho, it, converged, t0, lam=lam)
+    return _solution(R, p, u, objective, -rho, it, converged, t0, lam=lam)
 
 
 # ---------------------------------------------------------------------------

@@ -235,16 +235,17 @@ class FairClasses:
 
         ``x`` is (N,), or (N, J) with one column per path. Returns (u, f):
         u[i] is class i's flows' shares of x_i, (K_i,) or (K_i, J), and f is
-        the sum of every flow's utility at its total rate.
+        the sum of every flow's utility at its total rate, -inf where one is 0.
         """
         x = np.asarray(x, dtype=float)
-        share = self._share if x.ndim == 1 else self._share[:, None]
-        rates = share * np.repeat(x, self.sizes, axis=0)
-        total = rates if x.ndim == 1 else rates.sum(axis=1)
+        # an (N,) x is the (N, 1) column of one path
+        rates = self._share[:, None] * np.repeat(np.column_stack([x]), self.sizes, axis=0)
+        total = rates.sum(axis=1)
         log = self.flow_a == 0.0
-        objective = (self.w[log] @ np.log(total[log])
-                     - self.w[~log] @ total[~log] ** -self.flow_a[~log])
-        return tuple(np.split(rates, self.starts)[1:]), float(objective)
+        with np.errstate(divide="ignore"):  # a zero rate scores -inf
+            objective = (self.w[log] @ np.log(total[log])
+                         - self.w[~log] @ total[~log] ** -self.flow_a[~log])
+        return tuple(np.split(rates.reshape(-1, *x.shape[1:]), self.starts)[1:]), float(objective)
 
 
 def apportion(cu: ClassUtility, x_star: float) -> list[float]:
@@ -273,6 +274,11 @@ def apportion(cu: ClassUtility, x_star: float) -> list[float]:
     if isinstance(first, PwlUtility):
         return pwl_apportion([m.fn for m in members], x_star)
     raise MixedTags(f"cannot apportion {type(first).__name__}")
+
+
+def _worst(violations) -> float:
+    """max(0, the largest violation), NaN if one is NaN; + 0.0 turns a negated zero's -0.0 into 0.0."""
+    return float(np.max(violations, initial=0.0)) + 0.0
 
 
 def _link_terms(R, c, x, lam):
@@ -313,18 +319,7 @@ def aggregate_kkt_residual(R, c, wbar, x, lam, mu=None) -> float:
     parts = [excess, slack, -lam, gap.ravel()]
     if mu is not None:
         parts += [-mu, np.abs(mu * x)]
-    return float(np.maximum.reduce(np.concatenate(parts), initial=0.0))
-
-
-def _max(*values: float) -> float:
-    """Python's max, except that a NaN among ``values`` is the result; max
-    itself keeps a NaN only when it comes first."""
-    return math.nan if any(map(math.isnan, values)) else max(values)
-
-
-def _worst(violations) -> float:
-    """max(0, the largest violation), NaN if one is NaN; + 0.0 turns a negated zero's -0.0 into 0.0."""
-    return float(np.max(violations, initial=0.0)) + 0.0
+    return _worst(np.concatenate(parts))
 
 
 @dataclass(frozen=True)
@@ -342,9 +337,9 @@ class KktReport:
 
     @property
     def max_residual(self) -> float:
-        """``_max`` of every field but ``tol``, in field order: the largest
-        violation, or NaN when any of them is NaN, which fails the check."""
-        return _max(*(getattr(self, f.name) for f in fields(self) if f.name != "tol"))
+        """``_worst`` of every field but ``tol``: the largest violation, or
+        NaN when any of them is NaN, which fails the check."""
+        return _worst([getattr(self, f.name) for f in fields(self) if f.name != "tol"])
 
     @property
     def passed(self) -> bool:
@@ -401,7 +396,7 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
         raise DimensionMismatch("one flow-rate array per class required")
 
     feas, slack = map(_worst, _link_terms(R, c, x.reshape(-1), lam))
-    dual = _max(_worst(-lam), _worst(-mu))
+    dual = _worst(-np.concatenate((lam, mu.ravel())))
 
     table = inst.class_table
     w, a, sizes = table.w, table.flow_a, table.sizes.tolist()

@@ -17,6 +17,7 @@ from numflow.netmodel import (
     Instance,
     Link,
     Network,
+    RoutingMatrix,
     admissible_pairs,
     dijkstra_path,
     draw_classes,
@@ -127,6 +128,16 @@ class TestInstanceValidation:
         with pytest.raises(IoError, match="paths_per_class"):
             load_instance(str(path))
 
+
+    def test_routing_must_be_the_classes_paths(self):
+        # the same width and height, but another instance's routes
+        net = small_topology()
+        a, b = gen_instance(net, 5, 1), gen_instance(net, 5, 2)
+        assert a.routing.col_links != b.routing.col_links
+        with pytest.raises(ValueError, match="routing matrix"):
+            Instance(net, a.classes, b.routing)
+        with pytest.raises(ValueError, match="routing matrix"):
+            Instance(net, a.classes, RoutingMatrix(a.routing.rows + 1, a.routing.col_links))
 
     def test_mode_must_be_known(self, tmp_path):
         net = _line_graph()

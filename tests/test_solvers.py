@@ -260,7 +260,9 @@ def test_oracle_and_pwl_reject_multipath_instances(solver):
 
 def _reference_admm(inst, params):
     """Per-flow ADMM loop: one admm_u_update per class, every flow's log,
-    and I + R^T R factored whatever the shape of R."""
+    and I + R^T R factored whatever the shape of R. Returns the point
+    p = x where x > 0, else the class sums s, and each class's w / wbar
+    share of it."""
     R, c, ws = _log_arrays(inst)
     n = len(ws)
     r = params.r
@@ -300,7 +302,8 @@ def _reference_admm(inst, params):
         else:
             flat_streak = 0
         prev = cur
-    return x, lam, -rho, np.concatenate(u), it, converged
+    p = np.where(x > 0, x, s)
+    return p, lam, -rho, np.concatenate([w / w.sum() * pi for w, pi in zip(ws, p)]), it, converged
 
 
 def _reference_cp(inst, params):
@@ -380,9 +383,20 @@ class TestAggregateSpaceIterates:
         assert not sol.converged
         _assert_same_iterates(sol, _reference_admm(inst, params))
 
+    def test_admm_apportions_the_class_rates_it_returns(self):
+        # the flows split the returned x, not the loop's class update s = wbar t,
+        # which misses x by ADMM's primal residual
+        inst = gen_instance(iridium_topology(), 750, seed=1, endpoint_rule="gateway-constrained")
+        sol = solve_admm(inst, SolverParams(r=40.0, pct=1e-4))
+        assert sol.converged
+        sums = np.asarray([ui.sum() for ui in sol.u])
+        assert np.all(np.abs(sums - sol.x) <= 1e-12 * sol.x)
+        oracle = oracle_solve(inst).objective
+        assert abs(sol.objective - oracle) <= 1e-4 * abs(oracle)
+
     @pytest.mark.parametrize("max_iter", [7, 20000])
     def test_admm_objective_is_the_flow_objective(self, max_iter):
-        # the closed form sum w log w + wbar . log t, at a cut and a converged run
+        # the split's objective at the returned rates, at a cut and a converged run
         inst = _iridium_75()
         sol = solve_admm(inst, SolverParams(r=40.0, max_iter=max_iter))
         assert sol.converged == (max_iter > 7)
@@ -623,8 +637,7 @@ class TestAggregateKktResidual:
             scale = 10.0 ** (rng.uniform(-3.0, 8.0) + rng.uniform(-1.0, 1.0, R.shape[0]))
             lam = sign * scale * (rng.random(R.shape[0]) > 0.2)
             mu = rng.standard_normal(n * J) * 10.0 ** rng.uniform(-3.0, 3.0) * (x == 0.0)
-            with np.errstate(divide="ignore"):  # the split's objective at a zero rate
-                u, _ = table.split(x.reshape(n, J) if J > 1 else x)
+            u, _ = table.split(x.reshape(n, J) if J > 1 else x)
             for m in (mu, None):
                 got = aggregate_kkt_residual(R, c, table.k, x, lam, m)
                 want = kkt_check(inst, x.reshape(n, J), u, lam, mu=None if m is None else m.reshape(n, J))

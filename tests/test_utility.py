@@ -191,6 +191,16 @@ class TestFairClasses:
             assert abs(objective - per_flow) <= 1e-12 * abs(per_flow)
 
     @pytest.mark.parametrize("family", ["log", "power"])
+    def test_split_at_a_zero_rate_scores_minus_inf_without_a_warning(self, family):
+        _, classes = _fair_classes(family)
+        x = np.ones(len(classes.k))
+        x[2] = 0.0
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            u, objective = classes.split(x)
+        assert objective == -math.inf and not u[2].any()
+
+    @pytest.mark.parametrize("family", ["log", "power"])
     def test_apportion_is_the_split_of_one_class(self, family):
         inst, _ = _fair_classes(family)
         flows = inst.classes[0].flows
