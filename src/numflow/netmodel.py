@@ -163,6 +163,8 @@ class Instance:
             if len(cls.paths) != self.paths_per_class:
                 raise ValueError(f"class {cls.source}->{cls.destination} has {len(cls.paths)} paths, "
                                  f"not paths_per_class = {self.paths_per_class}")
+            for path in cls.paths:
+                validate_path(self.network, cls.source, cls.destination, path)
         paths = tuple(tuple(sorted(path)) for cls in self.classes for path in cls.paths)
         if self.routing.col_links != paths or self.routing.rows != len(self.network.links):
             raise ValueError("routing matrix is not the classes' paths over the network's links")

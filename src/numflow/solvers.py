@@ -69,7 +69,8 @@ if TYPE_CHECKING:
 
 
 # the Chambolle-Pock steps that params documents carried before ``solve_cp``
-# fixed them; ``SolverParams.from_json`` still reads and ignores them
+# derived them from the instance; ``SolverParams.from_json`` still reads and
+# ignores them
 _RETIRED_KEYS = ("sigma", "theta", "tau")
 
 
@@ -575,20 +576,24 @@ def solve_cp(inst: Instance, params: SolverParams) -> Solution:
 
     The problem is max sum_i wbar_i log x_i s.t. R x <= c (Chambolle & Pock,
     JMIV 2011), with operator R: the dual step takes ``cp_prox_gstar`` of
-    y + R v and the primal step ``cp_prox_f`` of x - tau R^T y with the
-    class weights wbar, and the extrapolation is v = 2 x_new - x. The
+    y + sigma R v and the primal step ``cp_prox_f`` of x - tau R^T y with
+    the class weights wbar, and the extrapolation is v = 2 x_new - x. The
     iterates are N-vectors, started at the class sizes K_i (every flow at
     rate 1), and the flow rates are built once, after the loop.
 
-    The steps are sigma = 1, theta = 1 and tau = 0.95 / ||R||_2^2, inside
-    the bound sigma * tau * ||R||^2 < 1 under which Chambolle & Pock's
-    Algorithm 1 converges.
+    Prices carry units of w/c and rates units of c, so the dual step is
+    sigma = mean(wbar) / mean(c)^2 and the primal step tau =
+    0.95 / (sigma ||R||_2^2), with theta = 1. They keep Chambolle & Pock's
+    bound sigma * tau * ||R||^2 < 1, and scaling every weight by s scales
+    sigma by s and the prices with it: in exact arithmetic the iterates'
+    rates, and so the iteration count, do not depend on the weights' scale.
     """
     t0 = time.perf_counter()
     classes = _log_classes(inst)
     R, c = inst.routing.dense(), inst.network.capacities
     wbar = classes.k
-    tau = 0.95 / np.linalg.norm(R, 2) ** 2
+    sigma = np.mean(wbar) / np.mean(c) ** 2
+    tau = 0.95 / (sigma * np.linalg.norm(R, 2) ** 2)
 
     x = classes.sizes.astype(float)
     v = x.copy()
@@ -596,7 +601,7 @@ def solve_cp(inst: Instance, params: SolverParams) -> Solution:
     converged = False
     it = 0
     for it in range(1, params.max_iter + 1):
-        y = cp_prox_gstar(y + R @ v, 1.0, c)
+        y = cp_prox_gstar(y + sigma * (R @ v), sigma, c)
         x_new = cp_prox_f(x - tau * (R.T @ y), tau, wbar)
         v = x_new + (x_new - x)
         x = x_new

@@ -139,6 +139,17 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="routing matrix"):
             Instance(net, a.classes, RoutingMatrix(a.routing.rows + 1, a.routing.col_links))
 
+    @pytest.mark.parametrize("path, match", [((99,), "unknown link id 99"),
+                                             ((3, 5), "does not continue the walk at node 1")],
+                             ids=["unknown-link", "not-a-walk"])
+    def test_paths_must_be_walks(self, path, match):
+        # a routing matrix built from the paths themselves holds them, so
+        # only the walk check stands between them and the solvers
+        net = small_topology()
+        classes = (FlowClass(1, 2, (path,), (WeightedLog(1.0),)),)
+        with pytest.raises(InvalidPath, match=match):
+            Instance(net, classes, RoutingMatrix(len(net.links), (tuple(sorted(path)),)))
+
     def test_mode_must_be_known(self, tmp_path):
         net = _line_graph()
         classes = (FlowClass(1, 2, ((1,),), (WeightedLog(1.0),)),)

@@ -1055,11 +1055,35 @@ class TestSolveCp:
         assert sol.u[0] == pytest.approx([5.0, 5.0], abs=1e-3)
 
     def test_default_step_converges_on_small(self):
-        # the primal step is the cap 0.95 / ||R||^2, 0.196 here
-        # (||R||^2 = 4.84); a fixed tau of 0.015 took 2,580 iterations
+        # sigma = mean(wbar) / mean(c)^2 = 0.079 and tau = 0.95 / (sigma ||R||^2)
+        # = 2.48 here (||R||^2 = 4.84); a fixed tau of 0.015 took 2,580 iterations
         inst = gen_instance(small_topology(), 10, seed=1)
         sol = solve_cp(inst, SolverParams())
         assert sol.converged and sol.n_iter <= 300
+
+    @pytest.mark.parametrize("case", ["small-15", "iridium-75"])
+    def test_iterations_do_not_depend_on_weight_scale(self, case):
+        # the steps scale with mean(wbar), so the prices scale with the
+        # weights and the rates do not move; with sigma = 1 and
+        # tau = 0.95 / ||R||^2 both instances took all 20,000 iterations at
+        # weights x 0.01. At tol 1e-7 the stop holds the objective to 1e-6
+        # (at the default 1e-5, small N=15 stops 1.4e-6 from the oracle's).
+        if case == "small-15":
+            base = gen_instance(small_topology(), 15, seed=15)
+        else:
+            base = gen_instance(iridium_topology(), 75, mix(1, 75),
+                                endpoint_rule="gateway-constrained")
+        n_iter = {}
+        for scale in (0.01, 1.0, 100.0):
+            classes = tuple(replace(cls, flows=tuple(replace(f, w=scale * f.w) for f in cls.flows))
+                            for cls in base.classes)
+            inst = Instance(base.network, classes, base.routing)
+            sol = solve_cp(inst, SolverParams(tol=1e-7))
+            ref = oracle_solve(inst)
+            assert sol.converged
+            assert abs(sol.objective - ref.objective) <= 1e-6 * abs(ref.objective)
+            n_iter[scale] = sol.n_iter
+        assert all(abs(n - n_iter[1.0]) <= 10 for n in n_iter.values()), n_iter
 
     def test_agrees_with_admm(self):
         for seed in (2, 4):
