@@ -8,10 +8,14 @@ Three solvers share the aggregate-flow structure:
   L x L inverse of I + R R^T and one with R^T, which also yields R x.
   Every flow update of a class is ``u_k = w_k t_i`` for one class scalar
   ``t_i``, so an iteration works on N-vectors only; flow rates are split
-  once, after the loop, from the returned class rates.
+  once, after the loop, from the returned class rates. The loop runs in
+  scaled form, on duals divided by the penalty, and keeps each pair of
+  class and link vectors in one (N+L) buffer, so an iteration makes about
+  19 numpy calls.
 * ``solve_cp``: Chambolle-Pock primal-dual iteration with componentwise
   proximal maps on the N-variable aggregate problem; its operator is the
-  routing matrix R itself.
+  routing matrix R itself, scaled by each step once per solve, so an
+  iteration makes 12 numpy calls.
 * ``solve_gradproj``: projected gradient ascent with Armijo backtracking
   on the N-variable aggregate problem. Its loop is the J = 1 case of the
   per-path loop that ``solve_multipath_aggregate`` runs on N*J variables.
@@ -26,6 +30,10 @@ Three solvers share the aggregate-flow structure:
   keeps that result when the projection's KKT conditions hold; otherwise
   it solves the least-distance problem cold, as NNLS by
   ``scipy.optimize.nnls``, and takes the next face from its multipliers.
+
+With tens to hundreds of classes and links, an ADMM or CP iteration's cost
+is mostly the fixed cost of each numpy call, not arithmetic, so both loops
+write into preallocated vectors and keep their calls per iteration few.
 
 CP and projected gradient stop once ``utility.aggregate_kkt_residual`` is at
 most ``params.tol``. Its terms are the certificate's, ``kkt_check``'s, with
@@ -181,11 +189,12 @@ class SpdFactor:
         self._R = R
         self._c_inv = np.linalg.inv(np.eye(L) + R @ R.T)
 
-    def solve_split(self, a: np.ndarray, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """x solving (I + R^T R) x = a + R^T v, and R x."""
+    def solve_split(self, a: np.ndarray, v: np.ndarray, out=(None, None)) -> tuple[np.ndarray, np.ndarray]:
+        """x solving (I + R^T R) x = a + R^T v, and R x, written into the two
+        arrays of ``out`` where given (new arrays where None)."""
         R = self._R
         w = self._c_inv @ (v - R @ a)
-        return a + R.T @ w, v - w
+        return np.add(a, R.T @ w, out=out[0]), np.subtract(v, w, out=out[1])
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         """x solving (I + R^T R) x = b: the v = 0 case of ``solve_split``."""
@@ -224,22 +233,34 @@ def admm_u_update(psi: float, r: float, w: np.ndarray) -> np.ndarray:
 def solve_admm(inst: Instance, params: SolverParams) -> Solution:
     """Consensus ADMM on the recast problem with weighted-log utilities.
 
-    Each iteration works on N-vectors. By the closed form of
-    ``admm_u_update``, class i's flows are u_k = w_k t_i with
-    t_i = 2 / (psi_i + sqrt(psi_i^2 + 4 r wbar_i)). The class sum is then
-    wbar_i t_i, and the class's share of the log objective is
-    sum_k w_k log w_k + wbar_i log t_i, whose first term is a constant.
-    The loop carries t and scores the Lagrangian with that closed form. The
-    x-step (I + R^T R) x = s + lam/r + R^T (y + rho/r) is ``SpdFactor.solve_split``,
-    which returns R x with x: one product with R, one with the prefactored
-    L x L inverse and one with R^T per iteration. The residuals s - x and
-    y - R x, computed once, serve the multiplier updates and the augmented
-    Lagrangian.
+    The loop runs in scaled form (Boyd et al. 2011, sec. 3.1.1): it carries
+    the duals divided by the penalty r, lam~ = lam/r and rho~ = rho/r, and
+    works on N-vectors. By the closed form of ``admm_u_update``, class i's
+    flows are u_k = w_k t_i, so the class sum s_i = wbar_i t_i is
+
+        s_i = (2 wbar_i / r) / (phi_i + sqrt(phi_i^2 + 4 wbar_i / r)),
+        phi = lam~ - x,
+
+    with the root taken by ``np.hypot``, and the class's share of the log
+    objective is sum_k w_k log w_k + wbar_i log(s_i / wbar_i), whose
+    constant part is formed once. The x-step (I + R^T R) x = s + lam~ +
+    R^T (y + rho~) is ``SpdFactor.solve_split``, which returns R x with x:
+    one product with R, one with the prefactored L x L inverse and one with
+    R^T per iteration.
+
+    (x, R x), (s, y), (lam~, rho~) and the residual (s - x, y - R x) each
+    live in one preallocated (N+L) buffer, with an N-view for the classes
+    and an L-view for the links, and every step writes into its views. So
+    the dual update is one in-place add of the residual, and the augmented
+    Lagrangian -f + r (d.res + res.res / 2), with d the stacked scaled
+    duals after that add, is two dot products; an iteration makes about
+    19 numpy calls.
 
     The solve returns one point p, the consensus rates x where positive and
-    the class sums s = wbar t elsewhere (x > 0 except after an early stop):
+    the class sums s elsewhere (x > 0 except after an early stop):
     ``Solution.x`` is p, and the flow rates and objective are
     ``classes.split(p)``, as every other alpha-fair solver returns them.
+    The returned duals are lam = r lam~ and the link duals -r rho~.
 
     Stops when the augmented Lagrangian changes by less than ``params.pct``
     percent (relative change below pct/100) on three consecutive
@@ -249,36 +270,45 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
     t0 = time.perf_counter()
     classes = _log_classes(inst)
     R, c = inst.routing.dense(), inst.network.capacities
+    L, n = R.shape
     r = params.r
     wbar = classes.k
-    four_r_wbar = 4.0 * r * wbar
-    w_log_w = float(classes.w @ np.log(classes.w))
+    two_wbar_r = 2.0 * wbar / r
+    root_four_wbar_r = np.sqrt(2.0 * two_wbar_r)
+    # sum_k w_k log u_k = sum_k w_k log w_k - wbar.log(wbar) + wbar.log(s)
+    f_const = float(classes.w @ np.log(classes.w)) - float(wbar @ np.log(wbar))
     factor = spd_prefactor(R)
 
     # start from u = 1 for every flow: class sums K_i, log objective 0, so
     # s = x, R x = y and zero multipliers put the Lagrangian at exactly 0
-    s = classes.sizes.astype(float)
-    x = s.copy()
-    Rx = R @ x
-    lam = np.zeros(len(wbar))
-    rho = np.zeros(R.shape[0])
+    # (s and y are written before they are read). d holds the scaled duals,
+    # and ab the x-step's right-hand sides a = s + lam~ and v = y + rho~.
+    xz, sy, d, res, ab = np.zeros((5, n + L))
+    x, Rx = xz[:n], xz[n:]
+    s, y = sy[:n], sy[n:]
+    lam, rho = d[:n], d[n:]
+    a, v = ab[:n], ab[n:]
+    phi = np.empty(n)
+    x[:] = classes.sizes
+    np.matmul(R, x, out=Rx)
     prev = 0.0
     threshold = params.pct / 100.0
     converged = False
     flat_streak = 0
     it = 0
     for it in range(1, params.max_iter + 1):
-        psi = lam - r * x
-        t = 2.0 / (psi + np.sqrt(psi * psi + four_r_wbar))
-        s = wbar * t
-        y = np.minimum(Rx - rho / r, c)
-        x, Rx = factor.solve_split(s + lam / r, y + rho / r)
-        ds, dy = s - x, y - Rx
-        lam = lam + r * ds
-        rho = rho + r * dy
-        objective = w_log_w + float(wbar @ np.log(t))
-        cur = (-objective + float(lam @ ds) + float(rho @ dy)
-               + 0.5 * r * (np.dot(ds, ds) + np.dot(dy, dy)))
+        np.subtract(lam, x, out=phi)
+        np.hypot(phi, root_four_wbar_r, out=s)
+        s += phi
+        np.divide(two_wbar_r, s, out=s)
+        np.subtract(Rx, rho, out=y)
+        np.minimum(y, c, out=y)
+        np.add(sy, d, out=ab)
+        factor.solve_split(a, v, out=(x, Rx))
+        np.subtract(sy, xz, out=res)
+        d += res
+        cur = (r * (float(d @ res) + 0.5 * float(res @ res))
+               - f_const - float(wbar @ np.log(s)))
         if abs(cur - prev) < threshold * max(abs(prev), 1e-12):
             flat_streak += 1
             if flat_streak >= 3:
@@ -293,7 +323,7 @@ def solve_admm(inst: Instance, params: SolverParams) -> Solution:
     # The splitting multiplier converges to minus the capacity dual (the
     # y-stationarity of the recast problem pairs rho with -eta), so the
     # reported link duals are negated.
-    return _solution(R, p, u, objective, -rho, it, converged, t0, lam=lam)
+    return _solution(R, p, u, objective, -r * rho, it, converged, t0, lam=r * lam)
 
 
 # ---------------------------------------------------------------------------
@@ -587,6 +617,12 @@ def solve_cp(inst: Instance, params: SolverParams) -> Solution:
     bound sigma * tau * ||R||^2 < 1, and scaling every weight by s scales
     sigma by s and the prices with it: in exact arithmetic the iterates'
     rates, and so the iteration count, do not depend on the weights' scale.
+
+    sigma R, tau R^T, sigma c and 4 tau wbar are formed once per solve, and
+    both proximal maps are written out in place on preallocated vectors:
+    with q = z + sqrt(z^2 + 4 tau wbar), twice ``cp_prox_f``'s value, the
+    step takes x_new = q / 2 and v = q - x. An iteration makes 12 numpy
+    calls.
     """
     t0 = time.perf_counter()
     classes = _log_classes(inst)
@@ -594,17 +630,26 @@ def solve_cp(inst: Instance, params: SolverParams) -> Solution:
     wbar = classes.k
     sigma = np.mean(wbar) / np.mean(c) ** 2
     tau = 0.95 / (sigma * np.linalg.norm(R, 2) ** 2)
+    sigma_R, tau_RT = sigma * R, tau * R.T
+    sigma_c, four_tau_wbar = sigma * c, 4.0 * tau * wbar
 
     x = classes.sizes.astype(float)
     v = x.copy()
     y = np.zeros(R.shape[0])
+    z, q = np.empty((2, len(x)))
     converged = False
     it = 0
     for it in range(1, params.max_iter + 1):
-        y = cp_prox_gstar(y + sigma * (R @ v), sigma, c)
-        x_new = cp_prox_f(x - tau * (R.T @ y), tau, wbar)
-        v = x_new + (x_new - x)
-        x = x_new
+        y += sigma_R @ v
+        y -= sigma_c
+        np.maximum(y, 0.0, out=y)
+        np.subtract(x, tau_RT @ y, out=z)
+        np.multiply(z, z, out=q)
+        q += four_tau_wbar
+        np.sqrt(q, out=q)
+        q += z
+        np.subtract(q, x, out=v)
+        np.multiply(q, 0.5, out=x)
         if it % 10 == 0 or it == params.max_iter:
             if aggregate_kkt_residual(R, c, wbar, x, y) <= params.tol:
                 converged = True
@@ -667,5 +712,5 @@ def solve_pwl_aggregate(inst: Instance, params: SolverParams | None = None) -> S
         table.seg_slope, csc_array(R)[:, table.seg_class], inst.network.capacities, table.seg_length)
     x = np.bincount(table.seg_class, t, inst.n_classes).astype(float)  # ints if no segments
     fill = pwl_fill(x, table.seg_class, table.seg_start, table.seg_length)
-    u = np.split(np.bincount(table.seg_flow, fill, len(table.offset)).astype(float), table.starts)[1:]
-    return _solution(R, x, tuple(u), value + float(table.offset.sum()), duals, n_iter, True, t0)
+    u = table.per_class(np.bincount(table.seg_flow, fill, len(table.offset)).astype(float))
+    return _solution(R, x, u, value + float(table.offset.sum()), duals, n_iter, True, t0)

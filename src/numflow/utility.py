@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
+from itertools import pairwise
 from typing import Callable, Sequence, Union
 
 import numpy as np
@@ -178,9 +179,10 @@ class FairClasses:
 
     Flows are stored class by class; ``starts`` holds each class's first
     flow, the layout that ``split``, ``kkt_check`` and the PWL solve cut flow
-    arrays by. Every class holds a flow (``FlowClass`` rejects an empty one),
-    so k is ``np.add.reduceat`` of the q_k at ``starts``, and a_i the flows'
-    ``np.fmax.reduceat``, NaN unless every flow shares it.
+    arrays by (``per_class`` slices them). Every class holds a flow
+    (``FlowClass`` rejects an empty one), so k is ``np.add.reduceat`` of
+    the q_k at ``starts``, and a_i the flows' ``np.fmax.reduceat``, NaN
+    unless every flow shares it.
     """
 
     def __init__(self, flows_by_class):
@@ -203,6 +205,7 @@ class FairClasses:
         self.flow_a = flow_a = np.asarray(flow_a, dtype=float)
         self.sizes = np.asarray(sizes, dtype=int)
         self.starts = np.cumsum(self.sizes) - self.sizes
+        self._bounds = self.starts.tolist() + [len(w)]  # Python ints, for slicing
         owner = np.repeat(np.arange(len(sizes)), self.sizes)
         self.a = np.fmax.reduceat(flow_a, self.starts)
         self.a[owner[flow_a != self.a[owner]]] = math.nan  # a NaN flow never shares it
@@ -245,7 +248,11 @@ class FairClasses:
         with np.errstate(divide="ignore"):  # a zero rate scores -inf
             objective = (self.w[log] @ np.log(total[log])
                          - self.w[~log] @ total[~log] ** -self.flow_a[~log])
-        return tuple(np.split(rates.reshape(-1, *x.shape[1:]), self.starts)[1:]), float(objective)
+        return self.per_class(rates.reshape(-1, *x.shape[1:])), float(objective)
+
+    def per_class(self, a):
+        """``a``'s rows cut at ``starts``: one view per class, of its flows' rows."""
+        return tuple(a[i:j] for i, j in pairwise(self._bounds))
 
 
 def apportion(cu: ClassUtility, x_star: float) -> list[float]:
@@ -400,8 +407,12 @@ def kkt_check(inst, x, u, lam, tol: float = 1e-6, mu=None) -> KktReport:
 
     table = inst.class_table
     w, a, sizes = table.w, table.flow_a, table.sizes.tolist()
-    per_class = [_per_path(u[i], (k, J), f"class {i} flow rates") for i, k in enumerate(sizes)]
-    rates = np.concatenate(per_class) if n else np.zeros((0, J))
+    # class i's rates are (K_i, J), or (K_i,) when J = 1
+    shapes = [s + (1,) if J == 1 and len(s) == 1 else s for s in map(np.shape, u)]
+    if shapes != [(k, J) for k in sizes]:
+        i = next(i for i, (s, k) in enumerate(zip(shapes, sizes)) if s != (k, J))
+        raise DimensionMismatch(f"class {i} flow rates shape {np.shape(u[i])} inconsistent with {(sizes[i], J)}")
+    rates = np.concatenate(u, axis=None, dtype=float).reshape(-1, J) if n else np.zeros((0, J))
     # each class's column sums, reduced from its first flow's row on
     sums = np.add.reduceat(rates, table.starts, axis=0)
     u_neg = _worst(-rates)

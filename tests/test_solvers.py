@@ -335,7 +335,38 @@ def _reference_cp(inst, params):
     return class_sums(u), None, y, u, it, converged
 
 
-def _assert_same_iterates(sol, ref):
+def _reference_aggregate_cp(inst, params):
+    """The textbook Chambolle-Pock loop on the N class rates: one
+    cp_prox_gstar and one cp_prox_f per iteration, at solve_cp's steps, and
+    each class's w / wbar share of the rates it stops at."""
+    R, c, ws = _log_arrays(inst)
+    wbar = np.asarray([w.sum() for w in ws])
+    sigma = np.mean(wbar) / np.mean(c) ** 2
+    tau = 0.95 / (sigma * np.linalg.norm(R, 2) ** 2)
+    x = np.asarray([len(w) for w in ws], dtype=float)
+    v = x.copy()
+    y = np.zeros(R.shape[0])
+    converged = False
+    for it in range(1, params.max_iter + 1):
+        y = cp_prox_gstar(y + sigma * (R @ v), sigma, c)
+        x_new = cp_prox_f(x - tau * (R.T @ y), tau, wbar)
+        v = x_new + (x_new - x)
+        x = x_new
+        if it % 10 == 0 or it == params.max_iter:
+            if aggregate_kkt_residual(R, c, wbar, x, y) <= params.tol:
+                converged = True
+                break
+    return x, None, y, np.concatenate([w / w.sum() * xi for w, xi in zip(ws, x)]), it, converged
+
+
+def _scaled_weights(inst, scale):
+    """``inst`` with every flow's weight multiplied by ``scale``."""
+    classes = tuple(replace(cls, flows=tuple(replace(f, w=scale * f.w) for f in cls.flows))
+                    for cls in inst.classes)
+    return Instance(inst.network, classes, inst.routing)
+
+
+def _assert_same_iterates(sol, ref, tol=1e-10):
     x, lam, rho, u, n_iter, converged = ref
     assert sol.n_iter == n_iter and sol.converged == converged
     pairs = ((sol.x, x), (sol.lam, lam), (sol.rho, rho), (np.concatenate(sol.u), u))
@@ -344,7 +375,7 @@ def _assert_same_iterates(sol, ref):
             assert got is None
             continue
         scale = 1.0 + float(np.max(np.abs(want)))
-        assert float(np.max(np.abs(got - want))) <= 1e-10 * scale
+        assert float(np.max(np.abs(got - want))) <= tol * scale
 
 
 def _iridium_75():
@@ -365,6 +396,25 @@ class TestAggregateSpaceIterates:
         inst = _iridium_75()
         params = SolverParams(r=40.0, pct=1e-4)
         _assert_same_iterates(solve_admm(inst, params), _reference_admm(inst, params))
+
+    @pytest.mark.parametrize("case", ["small-10", "iridium-75"])
+    @pytest.mark.parametrize("scale", [0.01, 100.0])
+    def test_admm_away_from_unit_weights(self, case, scale):
+        # the loop carries the duals divided by r, so it must match the
+        # reference where the duals are far from the rates' scale too.
+        # At weights x 0.01 the fixed r is 100 times too stiff: the runs take
+        # 10,225 and 13,735 iterations, and every x-step's round-off enters
+        # the duals times r. There two orderings of the same arithmetic
+        # differ by about 1e-9 (the unscaled loop missed this reference by
+        # 1.4e-9 in lam on iridium), so those iterates are held to 1e-8.
+        if case == "small-10":
+            inst, params = gen_instance(small_topology(), 10, seed=1), SolverParams(r=20.0)
+        else:
+            inst, params = _iridium_75(), SolverParams(r=40.0)
+        inst = _scaled_weights(inst, scale)
+        sol = solve_admm(inst, params)
+        assert sol.converged
+        _assert_same_iterates(sol, _reference_admm(inst, params), 1e-8 if scale < 1 else 1e-10)
 
     def test_admm_flow_rates_at_max_iter(self):
         # the loop stops before the stopping rule fires; rates still come
@@ -404,8 +454,17 @@ class TestAggregateSpaceIterates:
         per_flow = float(sum(np.sum(w * np.log(ui)) for w, ui in zip(ws, sol.u)))
         assert abs(sol.objective - per_flow) <= 1e-12 * abs(per_flow)
 
-    # Aggregate CP is a different iteration from the flow-level reference,
-    # so it is checked at the optimum, not iterate by iterate.
+    @pytest.mark.parametrize("case", ["small-10", "iridium-75"])
+    @pytest.mark.parametrize("max_iter", [7, 20000])
+    def test_cp_matches_the_textbook_loop(self, case, max_iter):
+        inst = gen_instance(small_topology(), 10, seed=1) if case == "small-10" else _iridium_75()
+        params = SolverParams(max_iter=max_iter)
+        sol = solve_cp(inst, params)
+        assert sol.converged == (max_iter > 7)
+        _assert_same_iterates(sol, _reference_aggregate_cp(inst, params))
+
+    # The flow-level CP reference is a different iteration from aggregate
+    # CP, so the two are compared at the optimum, not iterate by iterate.
     def test_cp_small(self):
         inst = gen_instance(small_topology(), 10, seed=1)
         params = SolverParams()
@@ -1075,9 +1134,7 @@ class TestSolveCp:
                                 endpoint_rule="gateway-constrained")
         n_iter = {}
         for scale in (0.01, 1.0, 100.0):
-            classes = tuple(replace(cls, flows=tuple(replace(f, w=scale * f.w) for f in cls.flows))
-                            for cls in base.classes)
-            inst = Instance(base.network, classes, base.routing)
+            inst = _scaled_weights(base, scale)
             sol = solve_cp(inst, SolverParams(tol=1e-7))
             ref = oracle_solve(inst)
             assert sol.converged
