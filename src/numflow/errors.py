@@ -26,7 +26,7 @@ class NoPath(NumflowError):
 
 
 class InvalidPath(NumflowError):
-    """A class path references unknown links or is not a directed walk."""
+    """A class path is not a directed walk src -> dst of distinct integer link ids 1..L."""
 
 
 class TooManyClasses(NumflowError):

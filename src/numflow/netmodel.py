@@ -98,6 +98,8 @@ class Network:
 
 @dataclass(frozen=True)
 class FlowClass:
+    """Flows sharing ``paths``; their ``Instance`` checks the paths against its network."""
+
     source: int
     destination: int
     paths: tuple[tuple[int, ...], ...]
@@ -110,8 +112,6 @@ class FlowClass:
             raise ValueError("source and destination must differ")
         if not self.paths:
             raise ValueError("class needs at least one path")
-        if not all(_is_int(lid) for path in self.paths for lid in path):
-            raise ValueError("path link ids must be integers")
         if not self.flows:
             raise ValueError("class needs at least one flow")
 
@@ -141,6 +141,9 @@ class RoutingMatrix:
 
 @dataclass(frozen=True)
 class Instance:
+    """Classes over a network. Building one runs ``validate_path`` once per path, and
+    raises ``ValueError`` unless ``routing`` is ``routing_matrix(network, classes)``."""
+
     network: Network
     classes: tuple[FlowClass, ...]
     routing: RoutingMatrix
@@ -165,8 +168,7 @@ class Instance:
                                  f"not paths_per_class = {self.paths_per_class}")
             for path in cls.paths:
                 validate_path(self.network, cls.source, cls.destination, path)
-        paths = tuple(tuple(sorted(path)) for cls in self.classes for path in cls.paths)
-        if self.routing.col_links != paths or self.routing.rows != len(self.network.links):
+        if self.routing != routing_matrix(self.network, self.classes):
             raise ValueError("routing matrix is not the classes' paths over the network's links")
         object.__setattr__(self, "class_table", FairClasses(cls.flows for cls in self.classes))
 
@@ -235,13 +237,14 @@ def _next_links(net: Network, dst: int, excluded: frozenset[int]) -> list[int]:
 
 
 def validate_path(net: Network, src: int, dst: int, path: Sequence[int]) -> None:
-    """Check that path is a contiguous directed walk src -> dst without repeated links."""
+    """The whole path rule, each link id examined once: path is a directed walk src -> dst
+    of integer link ids 1..L, no link repeated. A path that breaks it raises :class:`InvalidPath`."""
     if len(set(path)) != len(path):
         raise InvalidPath("repeated link in path")
     at = src
     for lid in path:
-        if not 1 <= lid <= len(net.links):
-            raise InvalidPath(f"unknown link id {lid}")
+        if not (_is_int(lid) and 1 <= lid <= len(net.links)):
+            raise InvalidPath(f"unknown link id {lid!r}: link ids are the integers 1..{len(net.links)}")
         link = net.links[lid - 1]
         if link.tail != at:
             raise InvalidPath(f"link {lid} does not continue the walk at node {at}")
@@ -251,13 +254,9 @@ def validate_path(net: Network, src: int, dst: int, path: Sequence[int]) -> None
 
 
 def routing_matrix(net: Network, classes: Sequence[FlowClass]) -> RoutingMatrix:
-    """Build the 0-1 routing matrix; multipath classes contribute J columns each."""
-    cols = []
-    for cls in classes:
-        for path in cls.paths:
-            validate_path(net, cls.source, cls.destination, path)
-            cols.append(tuple(sorted(path)))
-    return RoutingMatrix(rows=len(net.links), col_links=tuple(cols))
+    """The routing matrix's layout: each path's sorted link ids, class by class (J columns
+    per multipath class). It checks nothing; ``Instance`` checks the paths."""
+    return RoutingMatrix(len(net.links), tuple(tuple(sorted(path)) for cls in classes for path in cls.paths))
 
 
 def small_topology() -> Network:

@@ -94,12 +94,10 @@ class TestNetworkValidation:
 
 
 class TestInstanceValidation:
-    @pytest.mark.parametrize("src, dst, paths", [(1.0, 2, ((1,),)), (1, True, ((1,),)),
-                                                 (1, 2, ((1.0,),))],
-                             ids=["float-src", "bool-dst", "float-link-id"])
-    def test_flow_class_rejects_non_integers(self, src, dst, paths):
+    @pytest.mark.parametrize("src, dst", [(1.0, 2), (1, True)], ids=["float-src", "bool-dst"])
+    def test_flow_class_rejects_non_integers(self, src, dst):
         with pytest.raises(ValueError, match="integer"):
-            FlowClass(src, dst, paths, (WeightedLog(1.0),))
+            FlowClass(src, dst, ((1,),), (WeightedLog(1.0),))
 
     @pytest.mark.parametrize("kwargs", [{"paths_per_class": 0}, {"paths_per_class": 1.0},
                                         {"seed": 2.5}, {"seed": True}],
@@ -139,16 +137,43 @@ class TestInstanceValidation:
         with pytest.raises(ValueError, match="routing matrix"):
             Instance(net, a.classes, RoutingMatrix(a.routing.rows + 1, a.routing.col_links))
 
-    @pytest.mark.parametrize("path, match", [((99,), "unknown link id 99"),
-                                             ((3, 5), "does not continue the walk at node 1")],
-                             ids=["unknown-link", "not-a-walk"])
-    def test_paths_must_be_walks(self, path, match):
-        # a routing matrix built from the paths themselves holds them, so
-        # only the walk check stands between them and the solvers
-        net = small_topology()
-        classes = (FlowClass(1, 2, (path,), (WeightedLog(1.0),)),)
+    @pytest.mark.parametrize("topology, dst, path, match", [
+        (small_topology, 2, (99,), "unknown link id 99"),
+        (small_topology, 2, (3, 5), "does not continue the walk at node 1"),
+        (_line_graph, 3, (2, 1), "link 2 does not continue the walk at node 1"),
+        (_line_graph, 3, (1,), "path ends at 2, not 3"),
+        (_line_graph, 3, (1, 9), "unknown link id 9"),
+        (_line_graph, 2, (1.0,), "unknown link id 1.0"),
+        # the range test alone passes it, as True == 1
+        (_line_graph, 2, (True,), "unknown link id True"),
+        (_line_graph, 3, (1, 1), "repeated link in path"),
+    ], ids=["unknown-link", "not-a-walk", "line-not-a-walk", "line-ends-short", "line-unknown-link",
+            "float-link-id", "bool-link-id", "repeated-link"])
+    def test_paths_must_be_walks(self, topology, dst, path, match):
+        # routing_matrix lays out the paths without checking them, so only
+        # the walk check stands between them and the solvers
+        net = topology()
+        classes = (FlowClass(1, dst, (path,), (WeightedLog(1.0),)),)
+        routing = routing_matrix(net, classes)
+        assert routing == RoutingMatrix(len(net.links), (tuple(sorted(path)),))
         with pytest.raises(InvalidPath, match=match):
-            Instance(net, classes, RoutingMatrix(len(net.links), (tuple(sorted(path)),)))
+            Instance(net, classes, routing)
+
+    @pytest.mark.parametrize("build", ["gen", "multipath", "json"])
+    def test_each_path_is_checked_once(self, monkeypatch, build):
+        doc = instance_to_json(gen_instance(small_topology(), 10, 1))
+        builders = {"gen": lambda: gen_instance(small_topology(), 10, 1),
+                    "multipath": lambda: gen_multipath_instance(small_topology(), 5, 1, 2),
+                    "json": lambda: instance_from_json(doc)}
+        calls = []
+
+        def counting(net, src, dst, path):
+            calls.append(path)
+            validate_path(net, src, dst, path)
+
+        monkeypatch.setattr("numflow.netmodel.validate_path", counting)
+        inst = builders[build]()
+        assert calls == [path for cls in inst.classes for path in cls.paths]
 
     def test_mode_must_be_known(self, tmp_path):
         net = _line_graph()
@@ -363,15 +388,6 @@ class TestRoutingMatrix:
         cls = FlowClass(1, 2, ((1,), (2,)), (WeightedLog(1.0),))
         R = routing_matrix(net, [cls]).dense()
         assert np.array_equal(R, np.eye(2))
-
-    def test_invalid_path_rejected(self):
-        net = _line_graph()
-        with pytest.raises(InvalidPath):
-            routing_matrix(net, [FlowClass(1, 3, ((2, 1),), (WeightedLog(1.0),))])
-        with pytest.raises(InvalidPath):
-            routing_matrix(net, [FlowClass(1, 3, ((1,),), (WeightedLog(1.0),))])
-        with pytest.raises(InvalidPath):
-            routing_matrix(net, [FlowClass(1, 3, ((1, 9),), (WeightedLog(1.0),))])
 
 
 class TestSmallTopology:

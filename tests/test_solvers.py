@@ -1029,6 +1029,22 @@ class TestSolveGradproj:
         oracle = oracle_solve(inst)
         assert abs(sol.objective - oracle.objective) <= 1e-10 * abs(oracle.objective)
 
+    @pytest.mark.parametrize("case", ["small-15", "iridium-75"])
+    def test_iterations_do_not_depend_on_weight_scale(self, case):
+        # the Barzilai-Borwein step (s.s)/(-s.y) scales as 1/weights, so only
+        # the first trial step, alpha, has a scale. The runs took 21/24/20
+        # (small) and 207/189/175 (iridium) iterations at weights x 0.01/1/100.
+        base = _small_n15() if case == "small-15" else _iridium_75()
+        n_iter = {}
+        for scale in (0.01, 1.0, 100.0):
+            inst = _scaled_weights(base, scale)
+            sol = solve_gradproj(inst, SolverParams())
+            ref = oracle_solve(inst)
+            assert sol.converged
+            assert np.max(np.abs(sol.x - ref.x) / ref.x) <= 1e-4
+            n_iter[scale] = sol.n_iter
+        assert all(n_iter[1.0] / 1.5 <= n <= 1.5 * n_iter[1.0] for n in n_iter.values()), n_iter
+
     def test_single_class_saturates_link(self):
         inst = _single_link_instance([[WeightedLog(1.0)]])
         sol = solve_gradproj(inst, SolverParams(alpha=0.05))
